@@ -1,6 +1,6 @@
 """Resonant backward four-wave mixing in an EIT medium.
 
-Steady-state solvers (closed-form and exact transfer-matrix), a
+Steady-state solvers (closed-form and exact), a
 time-domain pulse propagator, detuning optimization and sweep/preset
 tooling for a double-Lambda atomic frequency converter.
 """
@@ -8,13 +8,12 @@ tooling for a double-Lambda atomic frequency converter.
 from ._version import __version__
 from .errors import (BoundarySolveError, ConfigError, ConvergenceError,
                      DomainError, FwmError, GridError, NearSingularError,
-                     RegimeError, ScanRangeError, SingularSystemError)
+                     RegimeError, ScanRangeError)
 from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
                      gamma_to_khz, khz_to_gamma, parse_config)
 from .steady_numeric import (CoherenceResponse, CouplingMatrix,
                              coupling_matrix, linear_response,
-                             matrix_exponential, steady_coherences,
-                             transfer_solve)
+                             steady_coherences, transfer_solve)
 from .steady_analytic import (ClosedFormAux, OptimalDelta, closed_form_aux,
                               eit_phase_shift, optimal_delta,
                               steady_closed_form)
@@ -29,8 +28,7 @@ __all__ = [
     "MediumParams", "DriveParams", "DetuningSet", "SteadyResult",
     "khz_to_gamma", "gamma_to_khz", "parse_config",
     "CoherenceResponse", "CouplingMatrix", "steady_coherences",
-    "linear_response", "coupling_matrix", "matrix_exponential",
-    "transfer_solve",
+    "linear_response", "coupling_matrix", "transfer_solve",
     "ClosedFormAux", "OptimalDelta", "closed_form_aux", "steady_closed_form",
     "optimal_delta", "eit_phase_shift",
     "PulseSpec", "PulseTrace", "EnergyBudget", "simulate_pulse",
@@ -38,6 +36,6 @@ __all__ = [
     "SweepSpec", "SweepResult", "PeakResult", "FigurePreset", "run_sweep",
     "find_peak", "bandwidth_fwhm", "figure_preset", "sweep_csv", "pulse_csv",
     "FwmError", "ConfigError", "DomainError", "RegimeError",
-    "SingularSystemError", "BoundarySolveError", "NearSingularError",
+    "BoundarySolveError", "NearSingularError",
     "ConvergenceError", "GridError", "ScanRangeError",
 ]

@@ -18,14 +18,14 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
-from .errors import FwmError, NearSingularError, RegimeError
+from .errors import FwmError, NearSingularError
 from .experiments import (PRESET_NAMES, SweepSpec, bandwidth_fwhm,
                           figure_preset, find_peak, metadata_echo,
                           pulse_csv, pulse_object, run_sweep, sweep_csv,
                           sweep_object)
 from .params import (CONFIG_KEYS, bundle_from_pairs, khz_to_gamma,
                      parse_config_pairs)
-from .steady_analytic import optimal_delta, steady_closed_form
+from .steady_analytic import optimal_delta, regime_error, steady_closed_form
 from .steady_numeric import transfer_solve
 from .validation import run_all
 
@@ -48,7 +48,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json-like"), default="csv")
     solver = sub.add_mutually_exclusive_group()
     solver.add_argument("--exact", dest="solver", action="store_const",
-                        const="exact", help="transfer-matrix solver (default)")
+                        const="exact", help="exact solver (default)")
     solver.add_argument("--closed-form", dest="solver", action="store_const",
                         const="closed_form")
     sub.set_defaults(solver="exact")
@@ -143,7 +143,10 @@ def _emit(args, text_data: str):
 
 def _cmd_steady(args) -> int:
     (m, d, det), _ = _load_bundle(args)
+    regime = regime_error(m, d.omega_c, d.omega_d, det.delta_p, det.Delta)
     if args.solver == "closed_form":
+        if regime is not None:
+            raise regime
         r = steady_closed_form(m, d.omega_c, det.delta)
     else:
         r = transfer_solve(d, det, m)
@@ -153,13 +156,11 @@ def _cmd_steady(args) -> int:
         "loss": r.loss,
     }
     # report the closed-form/exact gap whenever the point is in regime
-    if (args.solver == "exact" and m.gamma21 == 0.0 and m.gamma31 == 1.0
-            and m.gamma41 == 1.0 and d.omega_c == d.omega_d > 0.0
-            and det.delta_p == 0.0 and det.Delta == 0.0):
+    if args.solver == "exact" and regime is None:
         try:
             cf = steady_closed_form(m, d.omega_c, det.delta)
             lines["closed_form_ce_discrepancy"] = abs(cf.ce - r.ce)
-        except (NearSingularError, RegimeError):
+        except NearSingularError:
             pass
     if args.format == "json-like":
         _emit(args, json.dumps({k: float(v) for k, v in lines.items()},

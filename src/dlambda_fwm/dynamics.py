@@ -37,6 +37,7 @@ from scipy.signal import lfilter
 
 from .errors import ConvergenceError, DomainError, GridError
 from .params import DetuningSet, DriveParams, MediumParams
+from .steady_numeric import _coefficients, _point
 
 FIXED_POINT_TOL = 1e-12
 MAX_FIXED_POINT_ITERS = 50
@@ -159,18 +160,8 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
 
     u_in = p.amplitude(t).astype(complex)
 
-    # adiabatic elimination denominators and reduced coefficients
-    d31 = m.gamma31 / 2.0 - 1j * det.delta_p
-    d41 = m.gamma41 / 2.0 - 1j * det.Delta
-    c1 = (1j * det.delta - m.gamma21 / 2.0
-          - abs(d.omega_c) ** 2 / (4.0 * d31)
-          - abs(d.omega_d) ** 2 / (4.0 * d41))
-    c2 = -np.conj(d.omega_c) / (4.0 * d31)
-    c3 = -np.conj(d.omega_d) / (4.0 * d41)
-    a_p = -(m.alpha * m.gamma31 / 4.0) / d31
-    b_p = -(m.alpha * m.gamma31 / 4.0) * d.omega_c / d31
-    a_s = -1j * m.delta_kL + (m.alpha * m.gamma41 / 4.0) / d41
-    b_s = (m.alpha * m.gamma41 / 4.0) * d.omega_d / d41
+    # adiabatic elimination coefficients, shared with the steady kernel
+    _, _, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**_point(m, d, det))
 
     h = 1.0 / n_z
     zp = a_p * h

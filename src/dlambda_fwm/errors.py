@@ -4,6 +4,8 @@ Everything raised on purpose derives from FwmError so callers can catch
 one base class at the CLI boundary and map it to an exit code.
 """
 
+from contextlib import contextmanager
+
 
 class FwmError(Exception):
     """Base class for all errors raised by dlambda_fwm."""
@@ -19,10 +21,6 @@ class DomainError(FwmError):
 
 class RegimeError(FwmError):
     """Operation called outside its physical validity regime."""
-
-
-class SingularSystemError(FwmError):
-    """The steady-state coherence system is (numerically) singular."""
 
 
 class BoundarySolveError(FwmError):
@@ -43,3 +41,13 @@ class GridError(FwmError):
 
 class ScanRangeError(FwmError):
     """A scan never reached the feature it was asked to measure."""
+
+
+@contextmanager
+def located(name: str, value: float):
+    """Re-raise an FwmError from the block as the same type, its message
+    prefixed with ``at name=value:`` to name the grid point it came from."""
+    try:
+        yield
+    except FwmError as exc:
+        raise type(exc)(f"at {name}={value:g}: {exc}") from exc

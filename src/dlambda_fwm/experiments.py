@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError, FwmError, RegimeError, ScanRangeError
+from .errors import DomainError, ScanRangeError, located
 from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
                      TWO_PI, gamma_to_khz, khz_to_gamma)
-from .steady_analytic import steady_closed_form
-from .steady_numeric import transfer_solve
+from .steady_analytic import regime_error, steady_closed_form
+from .steady_numeric import _point, _transfer_grid
 from .dynamics import PulseSpec
 
 SWEEP_VARIABLES = ("omega_d", "delta", "delta_p", "alpha")
@@ -91,17 +91,10 @@ def _point_params(s: SweepSpec, value: float):
     return replace(m, alpha=float(value)), d, det
 
 
-def _solve_point(m, d, det, solver) -> SteadyResult:
-    if solver == "exact":
-        return transfer_solve(d, det, m)
-    if d.omega_c != d.omega_d:
-        raise RegimeError(
-            f"closed form needs balanced drives, got omega_c={d.omega_c}, "
-            f"omega_d={d.omega_d}")
-    if det.delta_p != 0.0 or det.Delta != 0.0:
-        raise RegimeError(
-            "closed form needs one- and three-photon resonance "
-            f"(delta_p={det.delta_p}, Delta={det.Delta})")
+def _closed_form_point(m, d, det) -> SteadyResult:
+    err = regime_error(m, d.omega_c, d.omega_d, det.delta_p, det.Delta)
+    if err is not None:
+        raise err
     return steady_closed_form(m, d.omega_c, det.delta)
 
 
@@ -124,14 +117,24 @@ def metadata_echo(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
 
 
 def run_sweep(s: SweepSpec) -> SweepResult:
-    rows = []
-    for value in s.grid:
-        m, d, det = _point_params(s, value)
-        try:
-            r = _solve_point(m, d, det, s.solver)
-        except FwmError as exc:
-            raise type(exc)(f"at {s.variable}={value:g}: {exc}") from exc
-        rows.append((float(value), r.transmittance, r.ce, r.loss))
+    if s.solver == "exact":
+        # each variable's valid values form an interval and the grid is
+        # monotonic, so its two ends stand for every point
+        for value in (s.grid[0], s.grid[-1]):
+            with located(s.variable, value):
+                _point_params(s, value)
+        p = _point(s.medium, s.drive, s.detuning)
+        p[s.variable] = (khz_to_gamma(s.grid, s.medium.gamma_phys)
+                         if s.variable in ("delta", "delta_p") else s.grid)
+        t, ce = _transfer_grid(p, s.variable, s.grid)
+        rows = zip(s.grid.tolist(), t.tolist(), ce.tolist(),
+                   (1.0 - t - ce).tolist())
+    else:
+        rows = []
+        for value in s.grid:
+            with located(s.variable, value):
+                r = _closed_form_point(*_point_params(s, value))
+            rows.append((float(value), r.transmittance, r.ce, r.loss))
     meta = metadata_echo(s.medium, s.drive, s.detuning)
     meta["solver"] = s.solver
     meta["variable"] = s.variable
@@ -184,12 +187,10 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams, det_base: DetuningSet,
     """
     n = int(round(2.0 * half_range / step))
     xs = np.linspace(-half_range, half_range, n + 1)
-    ys = np.empty_like(xs)
-    for k, x in enumerate(xs):
-        det = DetuningSet(delta=det_base.delta + x,
-                          delta_p=det_base.delta_p + x,
-                          Delta=det_base.Delta + x)
-        ys[k] = transfer_solve(d, det, m).ce
+    p = _point(m, d, det_base)
+    for name in ("delta", "delta_p", "Delta"):
+        p[name] = p[name] + xs
+    _, ys = _transfer_grid(p, "probe_shift", xs)
     peak = float(ys.max())
     if peak <= 0.0:
         raise ScanRangeError("no conversion peak: ce is identically zero")

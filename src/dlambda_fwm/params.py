@@ -9,6 +9,7 @@ as MHz, the converters below bridge the two.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,13 @@ TWO_PI = 2.0 * math.pi
 GAMMA_PHYS_DEFAULT = TWO_PI * 6.0e6
 
 PASSIVITY_SLACK = 1e-9
+
+
+def _require_finite(obj, names) -> None:
+    for name in names:
+        v = getattr(obj, name)
+        if not cmath.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,8 @@ class MediumParams:
     gamma_phys: float = GAMMA_PHYS_DEFAULT
 
     def __post_init__(self):
+        _require_finite(self, ("alpha", "gamma21", "gamma31", "gamma41",
+                               "delta_kL", "gamma_phys"))
         if not (self.alpha >= 0.0):
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
         if not (self.gamma21 >= 0.0):
@@ -62,8 +72,6 @@ class MediumParams:
             raise DomainError(f"gamma41 must be > 0, got {self.gamma41}")
         if not (self.gamma_phys > 0.0):
             raise DomainError(f"gamma_phys must be > 0, got {self.gamma_phys}")
-        if not math.isfinite(self.delta_kL):
-            raise DomainError(f"delta_kL must be finite, got {self.delta_kL}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,7 @@ class DriveParams:
     omega_p0: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        _require_finite(self, ("omega_c", "omega_d", "omega_p0"))
         if not (self.omega_c >= 0.0):
             raise DomainError(f"omega_c must be >= 0, got {self.omega_c}")
         if not (self.omega_d >= 0.0):
@@ -96,10 +105,7 @@ class DetuningSet:
     Delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta", "delta_p", "Delta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
+        _require_finite(self, ("delta", "delta_p", "Delta"))
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,7 @@ class SteadyResult:
     loss: float = field(init=False)
 
     def __post_init__(self):
+        _require_finite(self, ("probe_out", "signal_out"))
         t = abs(self.probe_out) ** 2
         c = abs(self.signal_out) ** 2
         object.__setattr__(self, "transmittance", t)

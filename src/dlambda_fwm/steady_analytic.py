@@ -10,14 +10,17 @@ With xi the phase-matching parameter, the auxiliary quantities are
     xi    = dkL + delta*alpha/W^2
     kappa = (alpha - 2*dkL*delta/W^2) - 2i*xi
     beta  = sqrt((dkL + i*alpha)(dkL*delta + i*W^2*xi) / (i*W^2 + delta))
-    q     = +-sqrt((xi - i*dkL*delta/W^2 + i*alpha)(xi - i*dkL*delta/W^2))
+    q     = (1 - i*delta/W^2) * beta
 
 and the boundary amplitudes follow from kappa, beta, q alone.  Setting
 xi = 0 (i.e. delta* = -dkL*W^2/alpha) realizes quasi-phase matching: the
 two-photon detuning cancels the geometric phase mismatch.
 
-The two square roots carry an intrinsic branch ambiguity; see
-_resolve_branch for how it is fixed against the exact solver.
+q is defined by q^2 = u*(u + i*alpha) with u = xi - i*dkL*delta/W^2;
+since u + i*alpha = (dkL + i*alpha)(1 - i*delta/W^2), that product is
+exactly (1 - i*delta/W^2)^2 beta^2, so q follows beta's branch and no
+sign is left to choose (flipping beta and q together is a symmetry of
+the solution).
 """
 
 from __future__ import annotations
@@ -26,16 +29,14 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import DomainError, NearSingularError, RegimeError
-from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
-                     gamma_to_khz)
-from .steady_numeric import transfer_solve
+from .params import MediumParams, SteadyResult, gamma_to_khz
 
 BETA_SINGULAR = 1e-6
 
 
 @dataclass(frozen=True)
 class ClosedFormAux:
-    """Auxiliary closed-form quantities (branch-resolved q)."""
+    """Auxiliary closed-form quantities."""
 
     kappa: complex
     beta: complex
@@ -51,101 +52,77 @@ class OptimalDelta:
     delta_khz: float
 
 
-def _require_regime(m: MediumParams, omega: float) -> None:
-    if omega <= 0.0:
-        raise DomainError(f"closed form needs omega > 0, got {omega}")
+def regime_error(m: MediumParams, omega_c: float, omega_d: float,
+                 delta_p: float = 0.0, Delta: float = 0.0):
+    """The error the closed form raises at this point, or None in regime.
+
+    The regime: balanced drives omega_c = omega_d = W > 0, one- and
+    three-photon resonance (delta_p = Delta = 0), gamma21 = 0 and
+    gamma31 = gamma41 = 1.  RegimeError names the broken condition;
+    W <= 0 is a DomainError.
+    """
+    if omega_c != omega_d:
+        return RegimeError(
+            f"closed form needs balanced drives, got omega_c={omega_c}, "
+            f"omega_d={omega_d}")
+    if delta_p != 0.0 or Delta != 0.0:
+        return RegimeError(
+            "closed form needs one- and three-photon resonance "
+            f"(delta_p={delta_p}, Delta={Delta})")
+    if omega_c <= 0.0:
+        return DomainError(f"closed form needs omega > 0, got {omega_c}")
     if m.gamma21 != 0.0:
-        raise RegimeError(
+        return RegimeError(
             f"closed form assumes gamma21 = 0, got {m.gamma21}; "
             "use steady_numeric.transfer_solve")
     if m.gamma31 != 1.0 or m.gamma41 != 1.0:
-        raise RegimeError(
+        return RegimeError(
             "closed form assumes gamma31 = gamma41 = 1 (decay at the rate "
             f"unit), got {m.gamma31}, {m.gamma41}")
+    return None
 
 
-def _xi_kappa_beta(alpha: float, omega: float, delta_kL: float,
-                   delta: float) -> tuple:
-    """The branch-free auxiliary quantities."""
+def _solve(m: MediumParams, omega: float, delta: float) -> tuple:
+    """Closed-form (probe_out, signal_out, kappa, beta, q, xi).
+
+    The trigonometric solution is rewritten in terms of w = exp(i*beta)
+    (or its reciprocal when Im(beta) < 0) so that no intermediate grows
+    like exp(|Im beta|); cot/csc forms overflow already at alpha ~ 300.
+    """
+    err = regime_error(m, omega, omega)
+    if err is not None:
+        raise err
+    alpha, delta_kL = m.alpha, m.delta_kL
     w2 = omega * omega
     xi = delta_kL + delta * alpha / w2
     kappa = (alpha - 2.0 * delta_kL * delta / w2) - 2.0j * xi
     beta = cmath.sqrt((delta_kL + 1j * alpha)
                       * (delta_kL * delta + 1j * w2 * xi)
                       / (1j * w2 + delta))
-    return xi, kappa, beta
-
-
-def _branch(alpha: float, omega: float, delta_kL: float, delta: float,
-            sign: int):
-    """Evaluate one (q-sign) branch of the closed form.
-
-    Returns (probe_out, signal_out, d_criterion, kappa, beta, q, xi).
-    The trigonometric solution is rewritten in terms of w = exp(i*beta)
-    (or its reciprocal when Im(beta) < 0) so that no intermediate grows
-    like exp(|Im beta|); cot/csc forms overflow already at alpha ~ 300.
-    """
-    w2 = omega * omega
-    xi, kappa, beta = _xi_kappa_beta(alpha, omega, delta_kL, delta)
-    q = sign * cmath.sqrt((xi - 1j * delta_kL * delta / w2 + 1j * alpha)
-                          * (xi - 1j * delta_kL * delta / w2))
-    if beta.imag >= 0.0:
-        w = cmath.exp(1j * beta)
-        half = cmath.exp(0.5j * beta)
-        probe = 2.0 * q * half / (q * (1.0 + w) + 0.5j * kappa * (1.0 - w))
-        denom = kappa * (1.0 - w) - 2.0j * q * (1.0 + w)
-        signal = alpha * (1.0 - w) / denom
-        d_crit = kappa - 2.0j * q * (1.0 + w) / (1.0 - w) if w != 1.0 \
-            else complex("inf")
-    else:
-        v = cmath.exp(-1j * beta)
-        half = cmath.exp(-0.5j * beta)
-        probe = 2.0 * q * half / (q * (1.0 + v) - 0.5j * kappa * (1.0 - v))
-        denom = kappa * (1.0 - v) + 2.0j * q * (1.0 + v)
-        signal = alpha * (1.0 - v) / denom
-        d_crit = kappa + 2.0j * q * (1.0 + v) / (1.0 - v) if v != 1.0 \
-            else complex("inf")
-    probe *= cmath.exp(-0.5j * delta_kL)
-    return probe, signal, d_crit, kappa, beta, q, xi
-
-
-def _resolve_branch(m: MediumParams, omega: float, delta: float):
-    """Pick the q sign that matches the exact solver.
-
-    Principal-branch square roots of beta and q are not guaranteed
-    mutually consistent, and only the relative sign matters (flipping
-    both is an exact symmetry of the solution).  Both q candidates are
-    evaluated and the one minimizing |D - kappa_eff| wins, where
-    D = kappa + 2q*cot(beta/2) and kappa_eff = alpha / signal_out of the
-    transfer-matrix solver -- i.e. exactly the combination the signal
-    amplitude inverts, so the criterion is cheap and well conditioned.
-    """
-    _require_regime(m, omega)
-    _, _, beta = _xi_kappa_beta(m.alpha, omega, m.delta_kL, delta)
     if abs(beta) < BETA_SINGULAR:
         raise NearSingularError(
             f"|beta| = {abs(beta):.3g} < {BETA_SINGULAR}: removable "
             "singularity of the closed form (delta and delta_kL both ~ 0); "
             "use steady_numeric.transfer_solve, which is regular there")
-    cand_p = _branch(m.alpha, omega, m.delta_kL, delta, +1)
-    cand_m = _branch(m.alpha, omega, m.delta_kL, delta, -1)
-    oracle = transfer_solve(
-        DriveParams(omega_c=omega, omega_d=omega),
-        DetuningSet(delta=delta), m)
-    if oracle.signal_out != 0.0 and cmath.isfinite(cand_p[2]) \
-            and cmath.isfinite(cand_m[2]):
-        kappa_eff = m.alpha / oracle.signal_out
-        pick = cand_p if abs(cand_p[2] - kappa_eff) \
-            <= abs(cand_m[2] - kappa_eff) else cand_m
+    q = (1.0 - 1j * delta / w2) * beta
+    if beta.imag >= 0.0:
+        w = cmath.exp(1j * beta)
+        half = cmath.exp(0.5j * beta)
+        probe = 2.0 * q * half / (q * (1.0 + w) + 0.5j * kappa * (1.0 - w))
+        signal = alpha * (1.0 - w) / (kappa * (1.0 - w) - 2.0j * q * (1.0 + w))
     else:
-        pick = cand_p
-    return pick
+        v = cmath.exp(-1j * beta)
+        half = cmath.exp(-0.5j * beta)
+        probe = 2.0 * q * half / (q * (1.0 + v) - 0.5j * kappa * (1.0 - v))
+        signal = alpha * (1.0 - v) / (kappa * (1.0 - v) + 2.0j * q * (1.0 + v))
+    probe *= cmath.exp(-0.5j * delta_kL)
+    return probe, signal, kappa, beta, q, xi
 
 
 def closed_form_aux(m: MediumParams, omega: float,
                     delta: float) -> ClosedFormAux:
-    """Auxiliary quantities kappa, beta, q, xi (q branch-resolved)."""
-    probe, signal, d_crit, kappa, beta, q, xi = _resolve_branch(m, omega, delta)
+    """Auxiliary quantities kappa, beta, q, xi."""
+    _, _, kappa, beta, q, xi = _solve(m, omega, delta)
     return ClosedFormAux(kappa=kappa, beta=beta, q=q, xi=xi)
 
 
@@ -154,9 +131,10 @@ def steady_closed_form(m: MediumParams, omega: float,
     """Closed-form boundary amplitudes and efficiencies.
 
     Raises NearSingularError within |beta| < 1e-6 of the removable
-    beta -> 0 point and RegimeError outside the balanced lossless regime.
+    beta -> 0 point, and the error of regime_error outside the balanced
+    lossless regime.
     """
-    probe, signal, *_ = _resolve_branch(m, omega, delta)
+    probe, signal, *_ = _solve(m, omega, delta)
     return SteadyResult(probe_out=probe, signal_out=signal)
 
 

@@ -1,31 +1,31 @@
 """Exact steady-state solver for backward four-wave mixing.
 
 The medium response is strictly linear in the probe/signal pair (the
-population stays in the lowest ground state, rho11 ~ 1), so the steady
-state reduces to two stages:
-
-1. solve the 3x3 linear system for the coherences (rho21, rho31, rho41)
-   driven by unit probe and unit signal amplitudes, giving the linear
-   response coefficients;
-2. insert those into the propagation equations, which become a linear
-   2-point boundary value problem d/dz (Op, Os) = M (Op, Os) with
-   Op(0) = Op0 and Os(L) = 0 (the signal builds up backwards).
-
-Because M is z-independent the BVP is solved exactly with one 2x2 matrix
-exponential; only the dimensionless product M*L ever appears.  This module
-is the oracle for the closed-form solver and the engine behind all sweeps.
+population stays in the lowest ground state, rho11 ~ 1).  Eliminating the
+optical coherences (Schur complement of the 3x3 coherence system) leaves
+rho21 = -(c2*Op + c3*Os)/c1 and the field equations d/dz (Op, Os) =
+M (Op, Os), a 2-point boundary value problem with Op(0) = Op0 and
+Os(L) = 0 (the signal builds up backwards), solved in a ratio form that
+needs no matrix exponential.  One array kernel does both; the public
+functions are scalar wrappers over it, and sweeps, the bandwidth scan and
+the pulse propagator use it directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundarySolveError, SingularSystemError
-from .params import DetuningSet, DriveParams, MediumParams, SteadyResult
+from .errors import BoundarySolveError, located
+from .params import (PASSIVITY_SLACK, DetuningSet, DriveParams, MediumParams,
+                     SteadyResult)
 
-COND_LIMIT = 1e12
+#: log of the smallest |T[1,1]| the boundary solve accepts
+LOG_T11_MIN = math.log(1e-14)
+#: below this |s|, tanh(s)/s is taken from its series
+TANHC_SERIES = 1e-4
 
 
 @dataclass(frozen=True)
@@ -56,45 +56,118 @@ class CouplingMatrix:
     m: np.ndarray
 
 
-def _unit_response(omega_s_on: bool, d: DriveParams, det: DetuningSet,
-                   m: MediumParams) -> tuple:
-    """Coherences for a unit drive on either the probe or the signal."""
-    omega_p = 0.0 if omega_s_on else 1.0
-    omega_s = 1.0 if omega_s_on else 0.0
+def _point(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
+    """Kernel parameters of one point; array values make a grid."""
+    return dict(alpha=m.alpha, gamma21=m.gamma21, gamma31=m.gamma31,
+                gamma41=m.gamma41, delta_kL=m.delta_kL, omega_c=d.omega_c,
+                omega_d=d.omega_d, delta=det.delta, delta_p=det.delta_p,
+                Delta=det.Delta)
 
-    if d.omega_c == 0.0 and d.omega_d == 0.0:
-        # rho21 decouples completely; keep the two-level response exact
-        # even where the 3x3 system would be singular (delta=gamma21=0).
-        rho31 = -0.5j * omega_p / (1j * det.delta_p - m.gamma31 / 2)
-        rho41 = -0.5j * omega_s / (1j * det.Delta - m.gamma41 / 2)
-        return 0.0 + 0.0j, rho31, rho41
 
-    a = np.array([
-        [1j * det.delta - m.gamma21 / 2, 0.5j * np.conj(d.omega_c),
-         0.5j * np.conj(d.omega_d)],
-        [0.5j * d.omega_c, 1j * det.delta_p - m.gamma31 / 2, 0.0],
-        [0.5j * d.omega_d, 0.0, 1j * det.Delta - m.gamma41 / 2],
-    ], dtype=complex)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystemError(
-            f"coherence system singular (cond={cond:.3g}) at "
-            f"omega_c={d.omega_c}, omega_d={d.omega_d}, delta={det.delta}, "
-            f"delta_p={det.delta_p}, Delta={det.Delta}, "
-            f"gamma21={m.gamma21}")
-    b = np.array([0.0, -0.5j * omega_p, -0.5j * omega_s], dtype=complex)
-    x = np.linalg.solve(a, b)
-    return x[0], x[1], x[2]
+def _coefficients(*, alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
+                  omega_d, delta, delta_p, Delta) -> tuple:
+    """(d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s) of the reduced model
+
+        0     = c1*rho21 + c2*Op + c3*Os     (rho21_t in the pulse model)
+        Op_z  = a_p*Op + b_p*rho21
+        Os_z  = a_s*Os + b_s*rho21
+
+    with rho31 = (i/2)(Op + omega_c*rho21)/d31 and
+    rho41 = (i/2)(Os + omega_d*rho21)/d41.  Scalars or broadcast arrays.
+    """
+    d31 = gamma31 / 2.0 - 1j * delta_p
+    d41 = gamma41 / 2.0 - 1j * Delta
+    c1 = (1j * delta - gamma21 / 2.0
+          - abs(omega_c) ** 2 / (4.0 * d31)
+          - abs(omega_d) ** 2 / (4.0 * d41))
+    c2 = -np.conj(omega_c) / (4.0 * d31)
+    c3 = -np.conj(omega_d) / (4.0 * d41)
+    a_p = -(alpha * gamma31 / 4.0) / d31
+    b_p = -(alpha * gamma31 / 4.0) * omega_c / d31
+    a_s = -1j * delta_kL + (alpha * gamma41 / 4.0) / d41
+    b_s = (alpha * gamma41 / 4.0) * omega_d / d41
+    return d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s
+
+
+def _eliminate(p: dict) -> tuple:
+    """(d31, d41, g_p, g_s, (m00, m01, m10, m11)): rho21 = g_p*Op + g_s*Os
+    and the entries of M*L.
+
+    Re c1 < 0 whenever a drive is on, so c1 vanishes only with both drives
+    off (and gamma21 = delta = 0), where c2 = c3 = 0 and rho21 = 0.
+    """
+    d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**p)
+    c1 = np.where(c1 == 0, 1.0, c1)
+    g_p, g_s = -c2 / c1, -c3 / c1
+    return d31, d41, g_p, g_s, (a_p + b_p * g_p, b_p * g_s,
+                                b_s * g_p, a_s + b_s * g_s)
+
+
+def _transfer(p: dict) -> tuple:
+    """The kernel: (probe_out, signal_out, log|T[1,1]|) on parameter arrays.
+
+    With T = exp(M), mu = tr(M)/2, N = M - mu*I and s = sqrt(-det N)
+    (Re s >= 0), T = e^mu (cosh(s) I + sinh(s)/s N), so the boundary
+    conditions give
+
+        signal_out = -T[1,0]/T[1,1] = -th*M[1,0] / den
+        probe_out  = det(T)/T[1,1]  = 2 e^(mu-s) / ((1 + e^(-2s)) den)
+
+    with th = tanh(s)/s and den = 1 + th*N[1,1].  No intermediate grows
+    like e^|s|, however thick the medium.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m00, m01, m10, m11 = _eliminate(p)[4]
+        mu = 0.5 * (m00 + m11)
+        n11 = 0.5 * (m11 - m00)
+        s = np.sqrt(n11 * n11 + m01 * m10)      # principal root: Re s >= 0
+        small = abs(s) < TANHC_SERIES
+        th = np.where(small, 1.0 - s * s / 3.0,
+                      np.tanh(s) / np.where(small, 1.0, s))
+        den = 1.0 + th * n11
+        e2 = np.exp(-2.0 * s)
+        signal = -th * m10 / den
+        probe = 2.0 * np.exp(mu - s) / ((1.0 + e2) * den)
+        # log|T11| = Re mu + log|cosh s| + log|den|
+        log_t11 = (mu.real + s.real + np.log(abs(1.0 + e2)) - math.log(2.0)
+                   + np.log(abs(den)))
+    return probe, signal, log_t11
+
+
+def _result(probe, signal, log_t11) -> SteadyResult:
+    """One kernel point as a SteadyResult; raises BoundarySolveError when
+    |T[1,1]| < 1e-14, DomainError for non-finite or active amplitudes."""
+    if log_t11 < LOG_T11_MIN:
+        raise BoundarySolveError(
+            f"boundary solve singular (|T11|={math.exp(log_t11):.3g})")
+    return SteadyResult(probe_out=complex(probe), signal_out=complex(signal))
+
+
+def _transfer_grid(p: dict, name: str, values: np.ndarray) -> tuple:
+    """Transmittance and ce on a parameter grid.  The first point that
+    fails transfer_solve's checks raises its error, prefixed with
+    ``at name=values[i]:``."""
+    probe, signal, log_t11 = _transfer(p)
+    t, ce = abs(probe) ** 2, abs(signal) ** 2
+    ok = (log_t11 >= LOG_T11_MIN) & (t + ce <= 1.0 + PASSIVITY_SLACK)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        with located(name, values[i]):
+            _result(probe[i], signal[i], log_t11[i])
+    return t, ce
 
 
 def linear_response(d: DriveParams, det: DetuningSet,
                     m: MediumParams) -> CoherenceResponse:
     """Pairwise linear-response coefficients of (rho21, rho31, rho41)."""
-    rp = _unit_response(False, d, det, m)
-    rs = _unit_response(True, d, det, m)
-    return CoherenceResponse(rho21=(rp[0], rs[0]),
-                             rho31=(rp[1], rs[1]),
-                             rho41=(rp[2], rs[2]))
+    d31, d41, g_p, g_s, _ = _eliminate(_point(m, d, det))
+    r31, r41 = 0.5j / d31, 0.5j / d41
+    return CoherenceResponse(
+        rho21=(complex(g_p), complex(g_s)),
+        rho31=(complex(r31 * (1.0 + d.omega_c * g_p)),
+               complex(r31 * d.omega_c * g_s)),
+        rho41=(complex(r41 * d.omega_d * g_p),
+               complex(r41 * (1.0 + d.omega_d * g_s))))
 
 
 def steady_coherences(omega_p: complex, omega_s: complex, d: DriveParams,
@@ -108,84 +181,17 @@ def steady_coherences(omega_p: complex, omega_s: complex, d: DriveParams,
 def coupling_matrix(d: DriveParams, det: DetuningSet,
                     m: MediumParams) -> CouplingMatrix:
     """Dimensionless propagation matrix M*L for the steady field pair."""
-    r = linear_response(d, det, m)
-    r31_p, r31_s = r.rho31
-    r41_p, r41_s = r.rho41
-    out = np.empty((2, 2), dtype=complex)
-    out[0, 0] = 0.5j * m.alpha * m.gamma31 * r31_p
-    out[0, 1] = 0.5j * m.alpha * m.gamma31 * r31_s
-    out[1, 0] = -0.5j * m.alpha * m.gamma41 * r41_p
-    out[1, 1] = -1j * m.delta_kL - 0.5j * m.alpha * m.gamma41 * r41_s
-    return CouplingMatrix(m=out)
-
-
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) for a complex 2x2 matrix.
-
-    Closed-form eigendecomposition with two guarded paths: exactly
-    diagonal matrices are exponentiated entry-wise (no cancellation for
-    widely split real parts), and near-degenerate eigenvalues
-    (|l1 - l2| < 1e-8 ||m||) fall back to a short series in the shifted
-    matrix, since the eigenvector route divides by l1 - l2.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m[0, 1] == 0.0 and m[1, 0] == 0.0:
-        return np.array([[np.exp(m[0, 0]), 0.0], [0.0, np.exp(m[1, 1])]],
-                        dtype=complex)
-    mu = 0.5 * (m[0, 0] + m[1, 1])
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    s2 = mu * mu - det
-    s = np.sqrt(s2)          # half the eigenvalue splitting
-    norm = max(abs(m[0, 0]), abs(m[0, 1]), abs(m[1, 0]), abs(m[1, 1]))
-    if 2.0 * abs(s) < 1e-8 * norm or s == 0.0:
-        # exp(m) = e^mu (cosh(s) I + sinhc(s) (m - mu I)), s ~ 0
-        ch = 1.0 + s2 / 2.0 + s2 * s2 / 24.0
-        snch = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
-        eye = np.eye(2, dtype=complex)
-        return np.exp(mu) * (ch * eye + snch * (m - mu * eye))
-    lp, lm = mu + s, mu - s
-    # eigenvectors built from the larger off-diagonal entry for stability
-    if abs(m[0, 1]) >= abs(m[1, 0]):
-        vp = np.array([m[0, 1], lp - m[0, 0]])
-        vm = np.array([m[0, 1], lm - m[0, 0]])
-    else:
-        vp = np.array([lp - m[1, 1], m[1, 0]])
-        vm = np.array([lm - m[1, 1], m[1, 0]])
-    p = np.column_stack([vp, vm])
-    dp = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    p_inv = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / dp
-    return (p * np.array([np.exp(lp), np.exp(lm)])) @ p_inv
+    entries = _eliminate(_point(m, d, det))[4]
+    return CouplingMatrix(m=np.array(entries, dtype=complex).reshape(2, 2))
 
 
 def transfer_solve(d: DriveParams, det: DetuningSet,
                    m: MediumParams) -> SteadyResult:
     """Solve the steady boundary-value problem exactly.
 
-    With T = exp(M*L), the boundary conditions Omega_p(0) = Omega_p0 and
-    Omega_s(L) = 0 give
-
-        signal_out = Omega_s(0)/Omega_p0 = -T[1,0] / T[1,1]
-        probe_out  = Omega_p(L)/Omega_p0 = det(T) / T[1,1]
-                   = exp(tr(M*L)) / T[1,1]
-
-    The determinant form of probe_out is used instead of
-    T[0,0] + T[0,1]*signal_out: the two are algebraically identical, but
-    the latter cancels catastrophically when the medium is optically
-    thick and the entries of T are exponentially large.
-
-    Raises
-    ------
-    BoundarySolveError
-        When |T[1,1]| < 1e-14 (perfect-reflection resonance).
+    With T = exp(M*L): signal_out = Omega_s(0)/Omega_p0 = -T[1,0]/T[1,1]
+    and probe_out = Omega_p(L)/Omega_p0 = det(T)/T[1,1], evaluated in the
+    kernel's ratio form.  Raises BoundarySolveError when |T[1,1]| < 1e-14
+    (perfect-reflection resonance).
     """
-    mat = coupling_matrix(d, det, m).m
-    t = matrix_exponential(mat)
-    if abs(t[1, 1]) < 1e-14:
-        raise BoundarySolveError(
-            f"boundary solve singular (|T11|={abs(t[1, 1]):.3g}) at "
-            f"alpha={m.alpha}, delta_kL={m.delta_kL}, "
-            f"omega_c={d.omega_c}, omega_d={d.omega_d}, delta={det.delta}")
-    signal_out = -t[1, 0] / t[1, 1]
-    probe_out = np.exp(mat[0, 0] + mat[1, 1]) / t[1, 1]
-    return SteadyResult(probe_out=complex(probe_out),
-                        signal_out=complex(signal_out))
+    return _result(*_transfer(_point(m, d, det)))

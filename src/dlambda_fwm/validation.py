@@ -36,7 +36,7 @@ class CheckResult:
 
 
 def check_oracle_equivalence() -> CheckResult:
-    """Closed form vs transfer matrix on a pseudo-random regime grid."""
+    """Closed form vs exact solver on a pseudo-random regime grid."""
     rng = np.random.default_rng(EQUIVALENCE_SEED)
     t0 = time.perf_counter()
     worst = 0.0

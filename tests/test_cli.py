@@ -51,6 +51,11 @@ def test_steady_closed_form_solver(capsys):
                                 "--closed-form"])
     assert code == 2
     assert "error:" in err
+    # the closed form does not silently ignore an unbalanced drive
+    code, _, err = run(capsys, ["steady", "--preset", "fig4a",
+                                "--set", "gamma21=0", "--set", "omega_d=0.6",
+                                "--closed-form"])
+    assert code == 2 and "balanced drives" in err
 
 
 def test_optimize_delta(capsys):
@@ -84,6 +89,11 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, ["steady", "--config", "/no/such/file.cfg"])
     assert code == 2
+    for bad in ("alpha=inf", "omega_c=inf", "omega_p0=nan"):
+        code, out, err = run(capsys, ["steady", "--preset", "fig4a",
+                                      "--set", bad])
+        assert code == 2 and out == ""
+        assert f"{bad.partition('=')[0]} must be finite" in err
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -9,8 +9,9 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
                          bandwidth_fwhm, figure_preset, find_peak,
                          khz_to_gamma, optimal_delta, run_sweep, sweep_csv,
                          transfer_solve)
-from dlambda_fwm.experiments import (PRESET_NAMES, metadata_echo, pulse_csv,
-                                     pulse_object, sweep_object)
+from dlambda_fwm.experiments import (PRESET_NAMES, _point_params,
+                                     metadata_echo, pulse_csv, pulse_object,
+                                     sweep_object)
 
 
 def _fig4b():
@@ -48,6 +49,18 @@ def test_sweep_point_matches_direct_solve():
     assert row[1] == pytest.approx(direct.transmittance, rel=1e-14)
     assert row[2] == pytest.approx(direct.ce, rel=1e-14)
     assert row[3] == pytest.approx(direct.loss, rel=1e-12, abs=1e-15)
+    # the grid kernel and the scalar solver agree on every sweep variable
+    grids = {"omega_d": np.linspace(0.0, 2.5, 11),
+             "delta": np.linspace(-200.0, 150.0, 15),
+             "delta_p": np.linspace(-3000.0, 3000.0, 13),
+             "alpha": np.linspace(0.0, 400.0, 9)}
+    for variable, grid in grids.items():
+        spec = SweepSpec(variable, grid, pre.medium, pre.drive, pre.detuning)
+        for value, t, ce, loss in run_sweep(spec).rows:
+            m, d, det = _point_params(spec, value)
+            direct = transfer_solve(d, det, m)
+            assert t == pytest.approx(direct.transmittance, rel=1e-14)
+            assert ce == pytest.approx(direct.ce, rel=1e-14)
 
 
 def test_sweep_rows_passive():
@@ -99,6 +112,11 @@ def test_sweep_closed_form_needs_balanced_drives():
     spec = SweepSpec("omega_d", np.array([0.5, 1.0]), m0, pre.drive,
                      pre.detuning, solver="closed_form")
     with pytest.raises(RegimeError, match="at omega_d=0.5"):
+        run_sweep(spec)
+    # the exact solver checks the grid too
+    spec = SweepSpec("alpha", np.array([1.0, -1.0]), m0, pre.drive,
+                     pre.detuning)
+    with pytest.raises(DomainError, match="at alpha=-1: alpha must be"):
         run_sweep(spec)
 
 

@@ -130,3 +130,6 @@ def test_steady_result_fields():
 def test_steady_result_passivity_guard():
     with pytest.raises(DomainError):
         SteadyResult(probe_out=1.0, signal_out=1.0)
+    # NaN compares False against the passivity bound; it must still fail
+    with pytest.raises(DomainError, match="probe_out must be finite"):
+        SteadyResult(probe_out=complex("nan"), signal_out=0.0)
