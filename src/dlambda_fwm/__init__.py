@@ -6,9 +6,9 @@ tooling for a double-Lambda atomic frequency converter.
 """
 
 from ._version import __version__
-from .errors import (BoundarySolveError, ConfigError, ConvergenceError,
-                     DomainError, FwmError, GridError, NearSingularError,
-                     RegimeError, ScanRangeError)
+from .errors import (BoundarySolveError, ConfigError, DomainError,
+                     FwmError, GridError, NearSingularError, RegimeError,
+                     ScanRangeError)
 from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
                      gamma_to_khz, khz_to_gamma, parse_config)
 from .steady_numeric import (CoherenceResponse, CouplingMatrix,
@@ -37,5 +37,5 @@ __all__ = [
     "find_peak", "bandwidth_fwhm", "figure_preset", "sweep_csv", "pulse_csv",
     "FwmError", "ConfigError", "DomainError", "RegimeError",
     "BoundarySolveError", "NearSingularError",
-    "ConvergenceError", "GridError", "ScanRangeError",
+    "GridError", "ScanRangeError",
 ]

@@ -17,7 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
+from .dynamics import (DEFAULT_N_Z, PulseSpec, energy_budget, group_delay,
+                       simulate_pulse)
 from .errors import FwmError, NearSingularError
 from .experiments import (PRESET_NAMES, SweepSpec, bandwidth_fwhm,
                           figure_preset, find_peak, metadata_echo,
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ramp-us", type=float)
     s.add_argument("--t-max-us", type=float)
     s.add_argument("--n-t", type=int)
-    s.add_argument("--n-z", type=int, default=200)
+    s.add_argument("--n-z", type=int, default=DEFAULT_N_Z)
 
     s = subs.add_parser("bandwidth", help="conversion FWHM in MHz")
     _add_common(s)

@@ -31,10 +31,6 @@ class NearSingularError(FwmError):
     """Closed form evaluated at its removable singularity (beta ~ 0)."""
 
 
-class ConvergenceError(FwmError):
-    """Implicit time step failed to converge."""
-
-
 class GridError(FwmError):
     """Time/space grid violates a resolution or coverage precondition."""
 

@@ -125,8 +125,14 @@ class SteadyResult:
 
     def __post_init__(self):
         _require_finite(self, ("probe_out", "signal_out"))
-        t = abs(self.probe_out) ** 2
-        c = abs(self.signal_out) ** 2
+        try:
+            t = abs(self.probe_out) ** 2
+            c = abs(self.signal_out) ** 2
+        except OverflowError:
+            raise DomainError(
+                f"passivity violated: T + CE overflows (probe_out="
+                f"{self.probe_out:.6g}, signal_out={self.signal_out:.6g})"
+            ) from None
         object.__setattr__(self, "transmittance", t)
         object.__setattr__(self, "ce", c)
         object.__setattr__(self, "loss", 1.0 - t - c)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dlambda_fwm
 import dlambda_fwm.cli as cli
 from dlambda_fwm.cli import main
 from dlambda_fwm.validation import CheckResult
@@ -168,6 +173,27 @@ def test_pulse_grid_error_exit_2(capsys):
     code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
                                 "--n-t", "4000"])
     assert code == 2 and "dt" in err
+
+
+def test_pulse_work_size_caps_exit_2(capsys):
+    # both caps fire before any grid array is allocated
+    code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
+                                "--n-t", "100000000"])
+    assert code == 2 and "n_t" in err
+    code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
+                                "--n-z", "1001"])
+    assert code == 2 and "n_z" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = str(Path(dlambda_fwm.__file__).parents[1])
+    probe = ("import sys, dlambda_fwm.cli; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[]\n"
 
 
 def test_bandwidth_preset_anchors_at_optimum(capsys):

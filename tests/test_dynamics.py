@@ -8,6 +8,7 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
                          MediumParams, PulseSpec, PulseTrace, energy_budget,
                          figure_preset, group_delay, simulate_pulse,
                          transfer_solve)
+from dlambda_fwm.steady_numeric import _coefficients, _point
 
 # lighter grid used throughout: 100 us window keeps dt*Gamma = 0.47
 LIGHT = (0.0, 100e-6, 8000)
@@ -28,6 +29,9 @@ def test_pulse_spec_validation():
         PulseSpec(shape="gaussian", duration=0.0)
     with pytest.raises(GridError):
         PulseSpec(shape="gaussian", duration=1e-6, grid=(0.0, 1e-5, 50))
+    # the cap fires before any time sample is allocated
+    with pytest.raises(GridError, match="n_t"):
+        PulseSpec(shape="gaussian", duration=1e-6, grid=(0.0, 1e-3, 10**9))
 
 
 def test_pulse_spec_shapes():
@@ -137,6 +141,73 @@ def test_refinement_converted_pulse_energies():
                                       fine, n_z=400))
     assert abs(b1.ce_pulse - b2.ce_pulse) / b2.ce_pulse < 5e-3
     assert abs(b1.t_pulse - b2.t_pulse) / b2.t_pulse < 5e-3
+
+
+def _stepped_boundary_fields(m, d, det, p, n_z):
+    """Reference for simulate_pulse: the same discrete model with the
+    fields marched slab by slab for every rho21 profile and the implicit
+    trapezoidal step solved by fixed-point iteration (dividing out the
+    stiff local factor 1 - dt*c1/2).  Returns (Op(L), Os(0)) per sample."""
+    _, _, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**_point(m, d, det))
+    h = 1.0 / n_z
+
+    def march(z, f0, g):
+        p1 = (np.exp(z) - 1.0) / z
+        p2 = (np.exp(z) - 1.0 - z) / z ** 2
+        f = [f0]
+        for k in range(1, n_z + 1):
+            f.append(np.exp(z) * f[-1]
+                     + h * ((p1 - p2) * g[k - 1] + p2 * g[k]))
+        return np.array(f)
+
+    def fields(rho, u):
+        return (march(a_p * h, u, b_p * rho),
+                march(-a_s * h, 0.0, -b_s * rho[::-1])[::-1])
+
+    t = p.times()
+    u = p.amplitude(t)
+    dt = (t[1] - t[0]) * m.gamma_phys
+    rho = np.zeros(n_z + 1, dtype=complex)
+    op, os_ = fields(rho, u[0])
+    out = [(op[-1], os_[0])]
+    for u_next in u[1:]:
+        base = rho + (dt / 2.0) * (c1 * rho + c2 * op + c3 * os_)
+        new = rho
+        for _ in range(100):
+            op, os_ = fields(new, u_next)
+            new, old = ((base + (dt / 2.0) * (c2 * op + c3 * os_))
+                        / (1.0 - dt * c1 / 2.0), new)
+            if np.max(np.abs(new - old)) < 1e-15:
+                break
+        rho = new
+        op, os_ = fields(rho, u_next)
+        out.append((op[-1], os_[0]))
+    return np.array(out)
+
+
+def test_direct_step_matches_fixed_point_stepper():
+    # a conversion pulse at low optical depth on a short grid
+    m = MediumParams(alpha=20.0, gamma21=7e-4, delta_kL=0.1 * math.pi)
+    d = DriveParams(omega_c=1.2, omega_d=1.2)
+    det = DetuningSet(delta=-0.02)
+    p = PulseSpec(shape="gaussian", duration=0.5e-6, t_start=0.15e-6,
+                  grid=(0.0, 3e-6, 300))
+    tr = simulate_pulse(m, d, det, p, n_z=50)
+    ref = np.abs(_stepped_boundary_fields(m, d, det, p, n_z=50)) ** 2
+    assert ref[:, 1].max() > 0.1           # the signal is really converted
+    np.testing.assert_allclose(tr.probe_out, ref[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tr.signal_out, ref[:, 1], rtol=0, atol=1e-12)
+
+
+def test_z_refinement_second_order():
+    # exponential integrator with slab-linear sources: halving the slab
+    # width cuts the CE_pulse error about fourfold
+    pre = figure_preset("fig5c")
+    ce = [energy_budget(simulate_pulse(pre.medium, pre.drive, pre.detuning,
+                                       pre.pulse, n_z=n_z)).ce_pulse
+          for n_z in (100, 200, 400)]
+    ratio = (ce[0] - ce[1]) / (ce[1] - ce[2])
+    assert 3.5 <= ratio <= 4.5
 
 
 def test_pulsed_conversion_dense_optimum():

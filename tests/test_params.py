@@ -133,3 +133,6 @@ def test_steady_result_passivity_guard():
     # NaN compares False against the passivity bound; it must still fail
     with pytest.raises(DomainError, match="probe_out must be finite"):
         SteadyResult(probe_out=complex("nan"), signal_out=0.0)
+    # squaring a finite amplitude above ~1e154 overflows a Python float
+    with pytest.raises(DomainError, match="overflows"):
+        SteadyResult(probe_out=1e200, signal_out=0.0)
