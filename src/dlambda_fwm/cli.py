@@ -17,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import (DEFAULT_N_Z, PulseSpec, energy_budget, group_delay,
-                       simulate_pulse)
+from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
 from .errors import FwmError, NearSingularError
 from .experiments import (PRESET_NAMES, SweepSpec, bandwidth_fwhm,
                           figure_preset, find_peak, metadata_echo,
@@ -88,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ramp-us", type=float)
     s.add_argument("--t-max-us", type=float)
     s.add_argument("--n-t", type=int)
-    s.add_argument("--n-z", type=int, default=DEFAULT_N_Z)
+    # deprecated: propagation is exact in z; accepted and ignored
+    s.add_argument("--n-z", type=int, help=argparse.SUPPRESS)
 
     s = subs.add_parser("bandwidth", help="conversion FWHM in MHz")
     _add_common(s)
@@ -214,6 +214,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_pulse(args) -> int:
     (m, d, det), preset = _load_bundle(args)
+    if args.n_z is not None:
+        print("note: --n-z is deprecated and ignored: pulse propagation is "
+              "exact in z", file=sys.stderr)
     pulse = preset.pulse if preset is not None and preset.pulse is not None \
         else PulseSpec(shape="gaussian", duration=30e-6)
     updates = {}
@@ -234,11 +237,11 @@ def _cmd_pulse(args) -> int:
         updates["grid"] = (t_min, t_max, n_t)
     if updates:
         pulse = replace(pulse, **updates)
-    trace = simulate_pulse(m, d, det, pulse, n_z=args.n_z)
+    trace = simulate_pulse(m, d, det, pulse)
     budget = energy_budget(trace)
     meta = metadata_echo(m, d, det)
     meta.update(shape=pulse.shape, duration_us=pulse.duration * 1e6,
-                n_z=args.n_z, n_t=pulse.grid[2])
+                n_t=pulse.grid[2])
     if args.format == "json-like":
         _emit(args, json.dumps(pulse_object(trace, meta), indent=2) + "\n")
     else:

@@ -9,18 +9,33 @@ current fields and ground-state coherence rho21(z).  What remains dynamic
 is rho21 (the EIT storage degree of freedom) plus the quasi-static field
 profiles:
 
-    rho21_t = c1*rho21 + c2*Op + c3*Os          (one ODE per grid cell)
+    rho21_t = c1*rho21 + c2*Op + c3*Os
     Op_z    = a_p*Op + b_p*rho21                (forward, Op(0) given)
     Os_z    = a_s*Os + b_s*rho21                (backward, Os(L) = 0)
 
-Transit-time terms are dropped (L/c is ~5 orders below 1/Gamma).  On
-n_z slabs the field equations are integrated with an exact exponential
-integrator for piecewise-linear sources, so each field is a fixed
-triangular matrix times rho21 (lower for the forward probe, upper for
-the backward signal) plus the free probe wave.  rho21 advances with the
-implicit trapezoidal rule; the model is linear and time-invariant, so
-that step is one precomputed (n_z+1)^2 map, rho <- step @ rho +
-drive*(u[n] + u[n+1]), and the boundary outputs are two taps on rho.
+Transit-time terms are dropped (L/c is ~5 orders below 1/Gamma).
+
+Frequency domain
+----------------
+The model is linear and time-invariant.  For an input component
+e^(i w t), d/dt becomes i*w, and c1 - i*w is c1 with the two-photon
+detuning delta replaced by delta - w; delta_p and Delta enter only
+through the eliminated optical coherences and stay fixed.  Each
+component therefore propagates as a steady state, exactly in z: the
+output spectra are the steady kernel's probe and signal amplitudes
+H_p(w), H_s(w) times the input spectrum.  The probe is written as the
+free wave plus a correction, u + ifft((H_p - 1) U), so it is exact in
+vacuum, where H_p = 1.
+
+The n_t + 1 input samples are zero-padded to the first power of two at
+or above 2(n_t + 1) before the FFT, so the circular convolution wraps
+only response that arrives after twice the window; simulate_pulse
+requires the window to hold the input support plus three group delays,
+by which time the response has died away.  (A power of two also keeps
+the FFT off Bluestein's algorithm, which an awkward length such as
+2 * 1000001 would need at several times the time and memory.)  The kernel
+runs on KERNEL_CHUNK frequencies at a time, so its temporaries stay small
+on long grids.
 
 Everything is linear in the probe, so traces are computed for a unit
 input amplitude and reported as normalized intensities; peak_amplitude
@@ -37,15 +52,15 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .params import DetuningSet, DriveParams, MediumParams
-from .steady_numeric import _coefficients, _point
+from .steady_numeric import _point, _transfer_grid
 
 DT_GAMMA_LIMIT = 0.5
 TAIL_FRACTION = 1e-4
 
 DEFAULT_N_T = 12000
-DEFAULT_N_Z = 200
-MAX_N_Z = 1000
 MAX_N_T = 10 ** 6
+#: frequencies per kernel call; bounds the kernel's temporaries on long grids
+KERNEL_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -124,37 +139,16 @@ class EnergyBudget:
     truncated: bool
 
 
-def _march(z: complex, n_z: int) -> tuple:
-    """The slab-by-slab march f[k] = e^z f[k-1] + (phi1 - phi2) g[k-1] +
-    phi2 g[k], exact for f' = a f + g with g linear over a slab (z = a*h,
-    phi1 = (e^z - 1)/z, phi2 = (e^z - 1 - z)/z^2), as a lower-triangular
-    K with f = K @ g for f[0] = 0, and the free solution e^(k z)."""
-    if abs(z) < 1e-5:
-        p1 = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-        p2 = 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0
-    else:
-        ez = np.exp(z)
-        p1 = (ez - 1.0) / z
-        p2 = (ez - 1.0 - z) / (z * z)
-    k = np.arange(n_z + 1)
-    prop = np.tril(np.exp(z * np.maximum(np.subtract.outer(k, k), 0)))
-    march = np.zeros_like(prop)
-    march[1:] = (p1 - p2) * prop[:-1]
-    march[:, 1:] += p2 * prop[:, 1:]
-    return march, prop[:, 0]
-
-
 def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
-                   p: PulseSpec, n_z: int = DEFAULT_N_Z) -> PulseTrace:
+                   p: PulseSpec) -> PulseTrace:
     """Propagate a probe pulse through the medium.
 
-    Raises GridError if the time step violates dt*Gamma <= 0.5, if n_z is
-    outside [50, 1000] (the step matrix has (n_z + 1)^2 entries), or if
-    the grid does not cover the pulse support plus three expected group
-    delays.  PulseSpec itself caps the time grid at 10**6 steps.
+    Raises GridError if the time step violates dt*Gamma <= 0.5 or if the
+    grid does not cover the pulse support plus three expected group
+    delays, and the kernel's located errors (``at omega=<w>:``, w in
+    Gamma units) for a frequency that fails the steady solve's checks.
+    PulseSpec itself caps the time grid at 10**6 steps.
     """
-    if not 50 <= n_z <= MAX_N_Z:
-        raise GridError(f"n_z must be in [50, {MAX_N_Z}], got {n_z}")
     t = p.times()
     dt = (t[1] - t[0]) * m.gamma_phys          # Gamma units
     if dt > DT_GAMMA_LIMIT + 1e-12:
@@ -167,38 +161,26 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
             f"grid ends at {t[-1]*1e6:.1f} us but pulse support plus 3 "
             f"group delays needs {(p.support_end() + 3*delay)*1e6:.1f} us")
 
-    u_in = p.amplitude(t).astype(complex)
+    u = p.amplitude(t)
+    n_pad = 1 << (2 * len(t) - 1).bit_length()
+    spec_p = np.fft.fft(u, n_pad)
+    spec_s = np.empty_like(spec_p)
+    point = _point(m, d, det)
+    for k in range(0, n_pad, KERNEL_CHUNK):
+        chunk = slice(k, min(k + KERNEL_CHUNK, n_pad))
+        # the bins' angular frequencies in np.fft.fftfreq order, Gamma units
+        j = np.arange(chunk.start, chunk.stop)
+        omega = 2.0 * np.pi / (n_pad * dt) * np.where(j < n_pad // 2, j,
+                                                      j - n_pad)
+        point["delta"] = det.delta - omega
+        h_p, h_s = _transfer_grid(point, "omega", omega)
+        spec_s[chunk] = h_s * spec_p[chunk]
+        spec_p[chunk] *= h_p - 1.0
+    probe = u + np.fft.ifft(spec_p, out=spec_p)[:len(t)]
+    signal = np.fft.ifft(spec_s, out=spec_s)[:len(t)]
 
-    # adiabatic elimination coefficients, shared with the steady kernel
-    _, _, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**_point(m, d, det))
-
-    # fields in rho21: Op = probe @ rho + free_p*u, Os = signal @ rho; the
-    # signal marches backward in z, i.e. forward on the reversed axis
-    h = 1.0 / n_z
-    march_p, free_p = _march(a_p * h, n_z)
-    march_s, _ = _march(-a_s * h, n_z)
-    probe = h * b_p * march_p
-    signal = -h * b_s * march_s[::-1, ::-1]
-
-    # trapezoidal step (1 - dt/2 F) rho' = (1 + dt/2 F) rho + dt/2 c2
-    # free_p (u + u') with F the rho21 rate matrix
-    eye = np.eye(n_z + 1)
-    implicit = np.linalg.inv(
-        eye - (dt / 2.0) * (c1 * eye + c2 * probe + c3 * signal))
-    step = 2.0 * implicit - eye
-    drive = implicit @ ((dt / 2.0) * c2 * free_p)
-    taps = np.array([probe[-1], signal[0]])
-
-    out = np.zeros((len(t), 2), dtype=complex)
-    rho = np.zeros(n_z + 1, dtype=complex)
-    for n, w in enumerate(u_in[:-1] + u_in[1:], start=1):
-        rho = step @ rho + drive * w
-        out[n] = taps @ rho
-    out[:, 0] += free_p[-1] * u_in
-
-    return PulseTrace(t=t, probe_in=np.abs(u_in) ** 2,
-                      probe_out=np.abs(out[:, 0]) ** 2,
-                      signal_out=np.abs(out[:, 1]) ** 2)
+    return PulseTrace(t=t, probe_in=u ** 2, probe_out=np.abs(probe) ** 2,
+                      signal_out=np.abs(signal) ** 2)
 
 
 def group_delay(trace: PulseTrace) -> float:

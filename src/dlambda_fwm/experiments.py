@@ -126,7 +126,8 @@ def run_sweep(s: SweepSpec) -> SweepResult:
         p = _point(s.medium, s.drive, s.detuning)
         p[s.variable] = (khz_to_gamma(s.grid, s.medium.gamma_phys)
                          if s.variable in ("delta", "delta_p") else s.grid)
-        t, ce = _transfer_grid(p, s.variable, s.grid)
+        probe, signal = _transfer_grid(p, s.variable, s.grid)
+        t, ce = abs(probe) ** 2, abs(signal) ** 2
         rows = zip(s.grid.tolist(), t.tolist(), ce.tolist(),
                    (1.0 - t - ce).tolist())
     else:
@@ -190,7 +191,7 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams, det_base: DetuningSet,
     p = _point(m, d, det_base)
     for name in ("delta", "delta_p", "Delta"):
         p[name] = p[name] + xs
-    _, ys = _transfer_grid(p, "probe_shift", xs)
+    ys = abs(_transfer_grid(p, "probe_shift", xs)[1]) ** 2
     peak = float(ys.max())
     if peak <= 0.0:
         raise ScanRangeError("no conversion peak: ce is identically zero")

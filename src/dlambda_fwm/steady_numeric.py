@@ -144,17 +144,17 @@ def _result(probe, signal, log_t11) -> SteadyResult:
 
 
 def _transfer_grid(p: dict, name: str, values: np.ndarray) -> tuple:
-    """Transmittance and ce on a parameter grid.  The first point that
-    fails transfer_solve's checks raises its error, prefixed with
-    ``at name=values[i]:``."""
+    """(probe_out, signal_out) amplitudes on a parameter grid.  The first
+    point that fails transfer_solve's checks raises its error, prefixed
+    with ``at name=values[i]:``."""
     probe, signal, log_t11 = _transfer(p)
-    t, ce = abs(probe) ** 2, abs(signal) ** 2
-    ok = (log_t11 >= LOG_T11_MIN) & (t + ce <= 1.0 + PASSIVITY_SLACK)
+    ok = ((log_t11 >= LOG_T11_MIN)
+          & (abs(probe) ** 2 + abs(signal) ** 2 <= 1.0 + PASSIVITY_SLACK))
     if not ok.all():
         i = int(np.argmin(ok))
         with located(name, values[i]):
             _result(probe[i], signal[i], log_t11[i])
-    return t, ce
+    return probe, signal
 
 
 def linear_response(d: DriveParams, det: DetuningSet,

@@ -5,19 +5,31 @@ import numpy as np
 import pytest
 
 from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
-                         MediumParams, PulseSpec, PulseTrace, energy_budget,
-                         figure_preset, group_delay, simulate_pulse,
-                         transfer_solve)
+                         MediumParams, PulseSpec, PulseTrace, dynamics,
+                         energy_budget, figure_preset, group_delay,
+                         simulate_pulse, transfer_solve)
 from dlambda_fwm.steady_numeric import _coefficients, _point
+from z_stepper import step_pulse
 
 # lighter grid used throughout: 100 us window keeps dt*Gamma = 0.47
 LIGHT = (0.0, 100e-6, 8000)
 
 
-def _fig2a_trace(n_z=200, grid=LIGHT):
+def _fig2a_trace(grid=LIGHT):
     pre = figure_preset("fig2a")
     pulse = replace(pre.pulse, grid=grid)
-    return simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse, n_z=n_z)
+    return simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
+
+
+def _conversion_case(t_start=0.5e-6):
+    """A conversion pulse at low optical depth on a short grid; at the
+    default t_start the input starts below 1e-7 of its peak."""
+    m = MediumParams(alpha=20.0, gamma21=7e-4, delta_kL=0.1 * math.pi)
+    d = DriveParams(omega_c=1.2, omega_d=1.2)
+    det = DetuningSet(delta=-0.02)
+    p = PulseSpec(shape="gaussian", duration=0.5e-6, t_start=t_start,
+                  grid=(0.0, 3e-6, 300))
+    return m, d, det, p
 
 
 # --- PulseSpec --------------------------------------------------------------
@@ -59,13 +71,6 @@ def test_grid_error_coarse_time_step():
         simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
 
 
-def test_grid_error_few_slabs():
-    pre = figure_preset("fig2a")
-    pulse = replace(pre.pulse, grid=LIGHT)
-    with pytest.raises(GridError, match="n_z"):
-        simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse, n_z=40)
-
-
 def test_grid_error_short_window():
     pre = figure_preset("fig2a")
     pulse = replace(pre.pulse, grid=(0.0, 80e-6, 8000))
@@ -82,7 +87,7 @@ def test_vacuum_identity_to_rounding():
     m = MediumParams(alpha=0.0)
     d = DriveParams(omega_c=0.6)
     pulse = PulseSpec(shape="gaussian", duration=30e-6, grid=LIGHT)
-    tr = simulate_pulse(m, d, DetuningSet(), pulse, n_z=50)
+    tr = simulate_pulse(m, d, DetuningSet(), pulse)
     np.testing.assert_allclose(tr.probe_out, tr.probe_in, rtol=5e-16, atol=0.0)
     assert np.all(tr.signal_out == 0.0)
     b = energy_budget(tr)
@@ -98,7 +103,7 @@ def test_slow_light_delay_mot():
     expected = pre.medium.alpha / pre.drive.omega_c ** 2 / pre.medium.gamma_phys
     assert delay == pytest.approx(expected, rel=0.1)
     assert delay == pytest.approx(3.31109e-6, rel=1e-4)
-    assert energy_budget(tr).t_pulse == pytest.approx(0.9711185, abs=1e-5)
+    assert energy_budget(tr).t_pulse == pytest.approx(0.9711229, abs=1e-5)
 
 
 def test_causality_flat_top():
@@ -122,10 +127,22 @@ def test_linearity_in_peak_amplitude():
     assert np.array_equal(t1.signal_out, t10.signal_out)
 
 
+def test_kernel_chunks_do_not_change_the_trace(monkeypatch):
+    # 2 * 8001 samples pad to 16384 bins: eight full chunks of 2000 and a
+    # partial one against a single chunk
+    whole = _fig2a_trace()
+    monkeypatch.setattr(dynamics, "KERNEL_CHUNK", 2000)
+    chunked = _fig2a_trace()
+    np.testing.assert_allclose(chunked.probe_out, whole.probe_out,
+                               rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(chunked.signal_out, whole.signal_out,
+                               rtol=1e-14, atol=1e-16)
+
+
 def test_refinement_mot_pulse():
-    # doubling both grids moves delay and energy scalars by far under 0.5%
+    # doubling the time grid moves delay and energy scalars by far under 0.5%
     tr1 = _fig2a_trace()
-    tr2 = _fig2a_trace(n_z=400, grid=(0.0, 100e-6, 16000))
+    tr2 = _fig2a_trace(grid=(0.0, 100e-6, 16000))
     d1, d2 = group_delay(tr1), group_delay(tr2)
     b1, b2 = energy_budget(tr1), energy_budget(tr2)
     assert abs(d1 - d2) / d2 < 5e-3
@@ -138,13 +155,13 @@ def test_refinement_converted_pulse_energies():
                                       pre.pulse))
     fine = replace(pre.pulse, grid=(0.0, 150e-6, 24000))
     b2 = energy_budget(simulate_pulse(pre.medium, pre.drive, pre.detuning,
-                                      fine, n_z=400))
+                                      fine))
     assert abs(b1.ce_pulse - b2.ce_pulse) / b2.ce_pulse < 5e-3
     assert abs(b1.t_pulse - b2.t_pulse) / b2.t_pulse < 5e-3
 
 
 def _stepped_boundary_fields(m, d, det, p, n_z):
-    """Reference for simulate_pulse: the same discrete model with the
+    """Reference for z_stepper.step_pulse: the same discrete model with the
     fields marched slab by slab for every rho21 profile and the implicit
     trapezoidal step solved by fixed-point iteration (dividing out the
     stiff local factor 1 - dt*c1/2).  Returns (Op(L), Os(0)) per sample."""
@@ -186,35 +203,31 @@ def _stepped_boundary_fields(m, d, det, p, n_z):
 
 
 def test_direct_step_matches_fixed_point_stepper():
-    # a conversion pulse at low optical depth on a short grid
-    m = MediumParams(alpha=20.0, gamma21=7e-4, delta_kL=0.1 * math.pi)
-    d = DriveParams(omega_c=1.2, omega_d=1.2)
-    det = DetuningSet(delta=-0.02)
-    p = PulseSpec(shape="gaussian", duration=0.5e-6, t_start=0.15e-6,
-                  grid=(0.0, 3e-6, 300))
-    tr = simulate_pulse(m, d, det, p, n_z=50)
+    m, d, det, p = _conversion_case(t_start=0.15e-6)
+    tr = step_pulse(m, d, det, p, n_z=50)
     ref = np.abs(_stepped_boundary_fields(m, d, det, p, n_z=50)) ** 2
     assert ref[:, 1].max() > 0.1           # the signal is really converted
     np.testing.assert_allclose(tr.probe_out, ref[:, 0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(tr.signal_out, ref[:, 1], rtol=0, atol=1e-12)
 
 
-def test_z_refinement_second_order():
-    # exponential integrator with slab-linear sources: halving the slab
-    # width cuts the CE_pulse error about fourfold
-    pre = figure_preset("fig5c")
-    ce = [energy_budget(simulate_pulse(pre.medium, pre.drive, pre.detuning,
-                                       pre.pulse, n_z=n_z)).ce_pulse
-          for n_z in (100, 200, 400)]
-    ratio = (ce[0] - ce[1]) / (ce[1] - ce[2])
-    assert 3.5 <= ratio <= 4.5
+def test_stepper_converges_to_frequency_domain_second_order():
+    # the z-grid stepper is second order in dz and dt jointly: halving both
+    # cuts its CE_pulse error against the exact-in-z propagator fourfold
+    m, d, det, p = _conversion_case()
+    exact = energy_budget(simulate_pulse(m, d, det, p)).ce_pulse
+    err = [energy_budget(step_pulse(m, d, det, replace(
+               p, grid=(0.0, 3e-6, 300 * k)), n_z=50 * k)).ce_pulse - exact
+           for k in (1, 2, 4)]
+    for coarse, fine in zip(err, err[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_pulsed_conversion_dense_optimum():
     pre = figure_preset("fig5a")
     tr = simulate_pulse(pre.medium, pre.drive, pre.detuning, pre.pulse)
     b = energy_budget(tr)
-    assert b.ce_pulse == pytest.approx(0.904686, abs=1e-4)
+    assert b.ce_pulse == pytest.approx(0.904353, abs=1e-4)
     assert b.t_pulse == pytest.approx(5.1376e-4, rel=1e-2)
     assert not b.truncated
     # pulsed conversion stays a few points below the steady-state value
@@ -228,10 +241,10 @@ def test_pulsed_conversion_far_detuned():
         pre = figure_preset(name)
         tr = simulate_pulse(pre.medium, pre.drive, pre.detuning, pre.pulse)
         ce[name] = energy_budget(tr).ce_pulse
-    assert ce["fig5b"] == pytest.approx(0.714585, abs=1e-4)
-    assert ce["fig5c"] == pytest.approx(0.715781, abs=1e-4)
+    assert ce["fig5b"] == pytest.approx(0.713535, abs=1e-4)
+    assert ce["fig5c"] == pytest.approx(0.714722, abs=1e-4)
     # detuning away from the optimum costs ~0.19 of pulsed efficiency
-    drop = 0.904686 - ce["fig5c"]
+    drop = 0.904353 - ce["fig5c"]
     assert drop == pytest.approx(0.189, abs=0.01)
     assert drop >= 0.15
 
