@@ -7,8 +7,7 @@ tooling for a double-Lambda atomic frequency converter.
 
 from ._version import __version__
 from .errors import (BoundarySolveError, ConfigError, DomainError,
-                     FwmError, GridError, NearSingularError, RegimeError,
-                     ScanRangeError)
+                     FwmError, GridError, RegimeError, ScanRangeError)
 from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
                      gamma_to_khz, khz_to_gamma, parse_config)
 from .steady_numeric import (CoherenceResponse, CouplingMatrix,
@@ -36,6 +35,5 @@ __all__ = [
     "SweepSpec", "SweepResult", "PeakResult", "FigurePreset", "run_sweep",
     "find_peak", "bandwidth_fwhm", "figure_preset", "sweep_csv", "pulse_csv",
     "FwmError", "ConfigError", "DomainError", "RegimeError",
-    "BoundarySolveError", "NearSingularError",
-    "GridError", "ScanRangeError",
+    "BoundarySolveError", "GridError", "ScanRangeError",
 ]

@@ -18,9 +18,9 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
-from .errors import FwmError, NearSingularError
+from .errors import FwmError
 from .experiments import (PRESET_NAMES, SweepSpec, bandwidth_fwhm,
-                          figure_preset, find_peak, metadata_echo,
+                          figure_preset, find_peak, fmt, metadata_echo,
                           pulse_csv, pulse_object, run_sweep, sweep_csv,
                           sweep_object)
 from .params import (CONFIG_KEYS, bundle_from_pairs, khz_to_gamma,
@@ -32,10 +32,6 @@ from .validation import run_all
 
 class _Usage(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".9g")
 
 
 def _add_common(sub):
@@ -158,16 +154,13 @@ def _cmd_steady(args) -> int:
     }
     # report the closed-form/exact gap whenever the point is in regime
     if args.solver == "exact" and regime is None:
-        try:
-            cf = steady_closed_form(m, d.omega_c, det.delta)
-            lines["closed_form_ce_discrepancy"] = abs(cf.ce - r.ce)
-        except NearSingularError:
-            pass
+        cf = steady_closed_form(m, d.omega_c, det.delta)
+        lines["closed_form_ce_discrepancy"] = abs(cf.ce - r.ce)
     if args.format == "json-like":
         _emit(args, json.dumps({k: float(v) for k, v in lines.items()},
                                indent=2) + "\n")
     else:
-        _emit(args, "".join(f"{k} = {_fmt(v)}\n" for k, v in lines.items()))
+        _emit(args, "".join(f"{k} = {fmt(v)}\n" for k, v in lines.items()))
     return 0
 
 
@@ -179,8 +172,8 @@ def _cmd_optimize_delta(args) -> int:
                                 "delta_star_khz": r.delta_khz},
                                indent=2) + "\n")
     else:
-        _emit(args, f"delta_star_gamma = {_fmt(r.delta)}\n"
-                    f"delta_star_khz = {_fmt(r.delta_khz)}\n")
+        _emit(args, f"delta_star_gamma = {fmt(r.delta)}\n"
+                    f"delta_star_khz = {fmt(r.delta_khz)}\n")
     return 0
 
 
@@ -248,11 +241,11 @@ def _cmd_pulse(args) -> int:
         _emit(args, pulse_csv(trace, meta))
     try:
         delay_us = group_delay(trace) * 1e6
-        print(f"group_delay_us = {_fmt(delay_us)}", file=sys.stderr)
+        print(f"group_delay_us = {fmt(delay_us)}", file=sys.stderr)
     except FwmError:
         pass
-    print(f"T_pulse = {_fmt(budget.t_pulse)}  CE_pulse = "
-          f"{_fmt(budget.ce_pulse)}  loss = {_fmt(budget.loss)}"
+    print(f"T_pulse = {fmt(budget.t_pulse)}  CE_pulse = "
+          f"{fmt(budget.ce_pulse)}  loss = {fmt(budget.loss)}"
           + ("  [truncated tail]" if budget.truncated else ""),
           file=sys.stderr)
     return 0
@@ -266,20 +259,20 @@ def _cmd_bandwidth(args) -> int:
         # anchor the scan at the preset's own conversion optimum
         peak = find_peak(run_sweep(preset.sweep))
         base = replace(det, delta=khz_to_gamma(peak.value, m.gamma_phys))
-        print(f"base delta set to grid optimum: {_fmt(peak.value)} kHz",
+        print(f"base delta set to grid optimum: {fmt(peak.value)} kHz",
               file=sys.stderr)
     fwhm = bandwidth_fwhm(m, d, base)
     if args.format == "json-like":
         _emit(args, json.dumps({"fwhm_mhz": fwhm}, indent=2) + "\n")
     else:
-        _emit(args, f"fwhm_mhz = {_fmt(fwhm)}\n")
+        _emit(args, f"fwhm_mhz = {fmt(fwhm)}\n")
     return 0
 
 
 def _cmd_preset(args) -> int:
     pre = figure_preset(args.name)
     lines = [f"# preset {pre.name} (kind: {pre.kind})"]
-    lines += [f"{k} = {_fmt(v)}"
+    lines += [f"{k} = {fmt(v)}"
               for k, v in metadata_echo(pre.medium, pre.drive,
                                         pre.detuning).items()]
     sys.stdout.write("\n".join(lines) + "\n")

@@ -27,10 +27,6 @@ class BoundarySolveError(FwmError):
     """Two-point boundary solve is singular (perfect-reflection resonance)."""
 
 
-class NearSingularError(FwmError):
-    """Closed form evaluated at its removable singularity (beta ~ 0)."""
-
-
 class GridError(FwmError):
     """Time/space grid violates a resolution or coverage precondition."""
 

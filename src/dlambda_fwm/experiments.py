@@ -17,10 +17,10 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError, ScanRangeError, located
-from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
-                     TWO_PI, gamma_to_khz, khz_to_gamma)
-from .steady_analytic import regime_error, steady_closed_form
-from .steady_numeric import _point, _transfer_grid
+from .params import (DetuningSet, DriveParams, MediumParams, TWO_PI,
+                     gamma_to_khz, khz_to_gamma)
+from .steady_analytic import _amplitudes, _require_regime
+from .steady_numeric import _checked, _point, _transfer_grid
 from .dynamics import PulseSpec
 
 SWEEP_VARIABLES = ("omega_d", "delta", "delta_p", "alpha")
@@ -91,13 +91,6 @@ def _point_params(s: SweepSpec, value: float):
     return replace(m, alpha=float(value)), d, det
 
 
-def _closed_form_point(m, d, det) -> SteadyResult:
-    err = regime_error(m, d.omega_c, d.omega_d, det.delta_p, det.Delta)
-    if err is not None:
-        raise err
-    return steady_closed_form(m, d.omega_c, det.delta)
-
-
 def metadata_echo(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
     """Full parameter set in config-file units, insertion-ordered."""
     return {
@@ -117,25 +110,26 @@ def metadata_echo(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
 
 
 def run_sweep(s: SweepSpec) -> SweepResult:
+    # each variable's valid values, and the closed form's regime, form an
+    # interval and the grid is monotonic, so its two ends stand for every
+    # point
+    for value in (s.grid[0], s.grid[-1]):
+        with located(s.variable, value):
+            m, d, det = _point_params(s, value)
+            if s.solver == "closed_form":
+                _require_regime(m, d.omega_c, d.omega_d, det.delta_p,
+                                det.Delta)
+    p = _point(s.medium, s.drive, s.detuning)
+    p[s.variable] = (khz_to_gamma(s.grid, s.medium.gamma_phys)
+                     if s.variable in ("delta", "delta_p") else s.grid)
     if s.solver == "exact":
-        # each variable's valid values form an interval and the grid is
-        # monotonic, so its two ends stand for every point
-        for value in (s.grid[0], s.grid[-1]):
-            with located(s.variable, value):
-                _point_params(s, value)
-        p = _point(s.medium, s.drive, s.detuning)
-        p[s.variable] = (khz_to_gamma(s.grid, s.medium.gamma_phys)
-                         if s.variable in ("delta", "delta_p") else s.grid)
         probe, signal = _transfer_grid(p, s.variable, s.grid)
-        t, ce = abs(probe) ** 2, abs(signal) ** 2
-        rows = zip(s.grid.tolist(), t.tolist(), ce.tolist(),
-                   (1.0 - t - ce).tolist())
     else:
-        rows = []
-        for value in s.grid:
-            with located(s.variable, value):
-                r = _closed_form_point(*_point_params(s, value))
-            rows.append((float(value), r.transmittance, r.ce, r.loss))
+        probe, signal = _checked(s.variable, s.grid, *_amplitudes(
+            p["alpha"], p["delta_kL"], p["omega_c"], p["delta"]))
+    t, ce = abs(probe) ** 2, abs(signal) ** 2
+    rows = zip(s.grid.tolist(), t.tolist(), ce.tolist(),
+               (1.0 - t - ce).tolist())
     meta = metadata_echo(s.medium, s.drive, s.detuning)
     meta["solver"] = s.solver
     meta["variable"] = s.variable
@@ -269,51 +263,52 @@ PRESET_NAMES = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b",
 # emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+#: every number the text outputs print: nine significant digits
+NUMBER = "%.9g"
+SWEEP_COLUMNS = ("value", "transmittance", "ce", "loss")
+PULSE_COLUMNS = ("t_us", "probe_in", "probe_out", "signal_out")
 
 
-def _header_lines(meta: dict) -> list:
+def fmt(x: float) -> str:
+    return NUMBER % x
+
+
+def _csv(meta: dict, columns: tuple, rows) -> str:
+    row = ",".join([NUMBER] * len(columns))
     lines = [f"# dlambda-fwm v{__version__}"]
-    lines += [f"# {k}={_fmt(v) if isinstance(v, float) else v}"
+    lines += [f"# {k}={fmt(v) if isinstance(v, float) else v}"
               for k, v in meta.items()]
-    return lines
+    lines.append(",".join(columns))
+    lines += [row % tuple(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _object(meta: dict, columns: tuple, rows: list) -> dict:
+    return {
+        "version": __version__,
+        "metadata": dict(meta),
+        "columns": list(columns),
+        "rows": rows,
+    }
+
+
+def _pulse_rows(trace) -> list:
+    return np.column_stack((trace.t * 1e6, trace.probe_in, trace.probe_out,
+                            trace.signal_out)).tolist()
 
 
 def sweep_csv(r: SweepResult) -> str:
-    lines = _header_lines(r.metadata)
-    lines.append("value,transmittance,ce,loss")
-    for row in r.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(r.metadata, SWEEP_COLUMNS, r.rows)
 
 
 def pulse_csv(trace, meta: dict) -> str:
-    lines = _header_lines(meta)
-    lines.append("t_us,probe_in,probe_out,signal_out")
-    for k in range(len(trace.t)):
-        lines.append(",".join(_fmt(v) for v in (
-            trace.t[k] * 1e6, trace.probe_in[k], trace.probe_out[k],
-            trace.signal_out[k])))
-    return "\n".join(lines) + "\n"
+    return _csv(meta, PULSE_COLUMNS, _pulse_rows(trace))
 
 
 def sweep_object(r: SweepResult) -> dict:
     """Structured-object mirror of the CSV content."""
-    return {
-        "version": __version__,
-        "metadata": dict(r.metadata),
-        "columns": ["value", "transmittance", "ce", "loss"],
-        "rows": [list(row) for row in r.rows],
-    }
+    return _object(r.metadata, SWEEP_COLUMNS, [list(row) for row in r.rows])
 
 
 def pulse_object(trace, meta: dict) -> dict:
-    return {
-        "version": __version__,
-        "metadata": dict(meta),
-        "columns": ["t_us", "probe_in", "probe_out", "signal_out"],
-        "rows": [[trace.t[k] * 1e6, float(trace.probe_in[k]),
-                  float(trace.probe_out[k]), float(trace.signal_out[k])]
-                 for k in range(len(trace.t))],
-    }
+    return _object(meta, PULSE_COLUMNS, _pulse_rows(trace))

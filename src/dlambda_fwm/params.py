@@ -9,7 +9,6 @@ as MHz, the converters below bridge the two.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ PASSIVITY_SLACK = 1e-9
 def _require_finite(obj, names) -> None:
     for name in names:
         v = getattr(obj, name)
-        if not cmath.isfinite(v):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise DomainError(f"{name} must be finite, got {v}")
 
 

@@ -18,20 +18,29 @@ two-photon detuning cancels the geometric phase mismatch.
 
 q is defined by q^2 = u*(u + i*alpha) with u = xi - i*dkL*delta/W^2;
 since u + i*alpha = (dkL + i*alpha)(1 - i*delta/W^2), that product is
-exactly (1 - i*delta/W^2)^2 beta^2, so q follows beta's branch and no
-sign is left to choose (flipping beta and q together is a symmetry of
-the solution).
+exactly c^2 beta^2 with c = 1 - i*delta/W^2, so q = c*beta follows
+beta's branch.  Flipping beta and q together is a symmetry of the
+solution, so the amplitudes take the root with Im(beta) >= 0; then
+w = exp(i*beta) has |w| <= 1 and no intermediate grows like
+exp(|Im beta|) (cot/csc forms overflow already at alpha ~ 300).  With
+f = (1 - w)/beta = -expm1(i*beta)/beta the factor beta shared by
+numerator and denominator is divided out:
+
+    probe_out  = 2c exp(i*(beta - dkL)/2) / (c*(1 + w) + (i/2)*kappa*f)
+    signal_out = alpha*f / (kappa*f - 2i*c*(1 + w))
+
+f -> -i as beta -> 0, so the formula has no singular point: beta = 0
+at dkL = delta = 0 (phase-matched and resonant) is an ordinary point.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
-from .errors import DomainError, NearSingularError, RegimeError
-from .params import MediumParams, SteadyResult, gamma_to_khz
+import numpy as np
 
-BETA_SINGULAR = 1e-6
+from .errors import DomainError, RegimeError
+from .params import MediumParams, SteadyResult, gamma_to_khz
 
 
 @dataclass(frozen=True)
@@ -82,60 +91,57 @@ def regime_error(m: MediumParams, omega_c: float, omega_d: float,
     return None
 
 
-def _solve(m: MediumParams, omega: float, delta: float) -> tuple:
-    """Closed-form (probe_out, signal_out, kappa, beta, q, xi).
-
-    The trigonometric solution is rewritten in terms of w = exp(i*beta)
-    (or its reciprocal when Im(beta) < 0) so that no intermediate grows
-    like exp(|Im beta|); cot/csc forms overflow already at alpha ~ 300.
-    """
-    err = regime_error(m, omega, omega)
-    if err is not None:
-        raise err
-    alpha, delta_kL = m.alpha, m.delta_kL
+def _aux(alpha, delta_kL, omega, delta) -> tuple:
+    """(xi, kappa, beta^2, c), q = c*beta; scalars or broadcast arrays."""
     w2 = omega * omega
     xi = delta_kL + delta * alpha / w2
     kappa = (alpha - 2.0 * delta_kL * delta / w2) - 2.0j * xi
-    beta = cmath.sqrt((delta_kL + 1j * alpha)
-                      * (delta_kL * delta + 1j * w2 * xi)
-                      / (1j * w2 + delta))
-    if abs(beta) < BETA_SINGULAR:
-        raise NearSingularError(
-            f"|beta| = {abs(beta):.3g} < {BETA_SINGULAR}: removable "
-            "singularity of the closed form (delta and delta_kL both ~ 0); "
-            "use steady_numeric.transfer_solve, which is regular there")
-    q = (1.0 - 1j * delta / w2) * beta
-    if beta.imag >= 0.0:
-        w = cmath.exp(1j * beta)
-        half = cmath.exp(0.5j * beta)
-        probe = 2.0 * q * half / (q * (1.0 + w) + 0.5j * kappa * (1.0 - w))
-        signal = alpha * (1.0 - w) / (kappa * (1.0 - w) - 2.0j * q * (1.0 + w))
-    else:
-        v = cmath.exp(-1j * beta)
-        half = cmath.exp(-0.5j * beta)
-        probe = 2.0 * q * half / (q * (1.0 + v) - 0.5j * kappa * (1.0 - v))
-        signal = alpha * (1.0 - v) / (kappa * (1.0 - v) + 2.0j * q * (1.0 + v))
-    probe *= cmath.exp(-0.5j * delta_kL)
-    return probe, signal, kappa, beta, q, xi
+    beta2 = ((delta_kL + 1j * alpha) * (delta_kL * delta + 1j * w2 * xi)
+             / (1j * w2 + delta))
+    return xi, kappa, beta2, 1.0 - 1j * delta / w2
+
+
+def _amplitudes(alpha, delta_kL, omega, delta) -> tuple:
+    """Closed-form (probe_out, signal_out) on scalars or broadcast arrays;
+    the caller checks the regime."""
+    _, kappa, beta2, c = _aux(alpha, delta_kL, omega, delta)
+    ib = -np.sqrt(-beta2)          # i*beta for the root with Im(beta) >= 0
+    em = np.expm1(ib)              # w - 1
+    one_w = 2.0 + em               # 1 + w
+    # f = (1 - w)/beta = -i*em/ib; at ib = 0 both get 1 added: f(0) = -i
+    zero = ib == 0.0
+    f = -1j * (em + zero) / (ib + zero)
+    probe = (2.0 * c * np.exp(0.5 * ib - 0.5j * delta_kL)
+             / (c * one_w + 0.5j * kappa * f))
+    signal = alpha * f / (kappa * f - 2.0j * c * one_w)
+    return probe, signal
+
+
+def _require_regime(*point) -> None:
+    """Raise the error regime_error(*point) returns, if any."""
+    err = regime_error(*point)
+    if err is not None:
+        raise err
 
 
 def closed_form_aux(m: MediumParams, omega: float,
                     delta: float) -> ClosedFormAux:
-    """Auxiliary quantities kappa, beta, q, xi."""
-    _, _, kappa, beta, q, xi = _solve(m, omega, delta)
-    return ClosedFormAux(kappa=kappa, beta=beta, q=q, xi=xi)
+    """Auxiliary quantities kappa, beta, q, xi (beta the principal root)."""
+    _require_regime(m, omega, omega)
+    xi, kappa, beta2, c = _aux(m.alpha, m.delta_kL, omega, delta)
+    beta = complex(np.sqrt(beta2))
+    return ClosedFormAux(kappa=kappa, beta=beta, q=c * beta, xi=xi)
 
 
 def steady_closed_form(m: MediumParams, omega: float,
                        delta: float) -> SteadyResult:
     """Closed-form boundary amplitudes and efficiencies.
 
-    Raises NearSingularError within |beta| < 1e-6 of the removable
-    beta -> 0 point, and the error of regime_error outside the balanced
-    lossless regime.
+    Raises the error of regime_error outside the balanced lossless regime.
     """
-    probe, signal, *_ = _solve(m, omega, delta)
-    return SteadyResult(probe_out=probe, signal_out=signal)
+    _require_regime(m, omega, omega)
+    probe, signal = _amplitudes(m.alpha, m.delta_kL, omega, delta)
+    return SteadyResult(probe_out=complex(probe), signal_out=complex(signal))
 
 
 def optimal_delta(m: MediumParams, omega: float) -> OptimalDelta:

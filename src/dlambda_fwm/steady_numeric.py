@@ -143,11 +143,14 @@ def _result(probe, signal, log_t11) -> SteadyResult:
     return SteadyResult(probe_out=complex(probe), signal_out=complex(signal))
 
 
-def _transfer_grid(p: dict, name: str, values: np.ndarray) -> tuple:
-    """(probe_out, signal_out) amplitudes on a parameter grid.  The first
-    point that fails transfer_solve's checks raises its error, prefixed
-    with ``at name=values[i]:``."""
-    probe, signal, log_t11 = _transfer(p)
+def _checked(name: str, values: np.ndarray, probe, signal,
+             log_t11=0.0) -> tuple:
+    """(probe_out, signal_out) broadcast to the grid of ``values``.  The
+    first point that fails transfer_solve's checks raises its error,
+    prefixed with ``at name=values[i]:``; a solver without T[1,1] (the
+    closed form) leaves log_t11 at 0."""
+    probe, signal, log_t11, _ = np.broadcast_arrays(probe, signal, log_t11,
+                                                    values)
     ok = ((log_t11 >= LOG_T11_MIN)
           & (abs(probe) ** 2 + abs(signal) ** 2 <= 1.0 + PASSIVITY_SLACK))
     if not ok.all():
@@ -155,6 +158,12 @@ def _transfer_grid(p: dict, name: str, values: np.ndarray) -> tuple:
         with located(name, values[i]):
             _result(probe[i], signal[i], log_t11[i])
     return probe, signal
+
+
+def _transfer_grid(p: dict, name: str, values: np.ndarray) -> tuple:
+    """(probe_out, signal_out) amplitudes of the kernel on a parameter
+    grid, checked point by point as in _checked."""
+    return _checked(name, values, *_transfer(p))
 
 
 def linear_response(d: DriveParams, det: DetuningSet,

@@ -19,8 +19,8 @@ from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
 from .errors import FwmError
 from .experiments import bandwidth_fwhm, figure_preset, find_peak, run_sweep
 from .params import (DetuningSet, DriveParams, MediumParams, khz_to_gamma)
-from .steady_analytic import eit_phase_shift, optimal_delta, steady_closed_form
-from .steady_numeric import transfer_solve
+from .steady_analytic import _amplitudes, eit_phase_shift, optimal_delta
+from .steady_numeric import _transfer, transfer_solve
 
 EQUIVALENCE_SEED = 42
 EQUIVALENCE_POINTS = 500
@@ -35,25 +35,26 @@ class CheckResult:
     detail: str
 
 
+def equivalence_points() -> np.ndarray:
+    """Check 1's (alpha, omega, delta_kL, delta) rows, one per point."""
+    rng = np.random.default_rng(EQUIVALENCE_SEED)
+    return rng.uniform([1.0, 0.2, -math.pi, -0.05],
+                       [200.0, 3.0, math.pi, 0.05],
+                       size=(EQUIVALENCE_POINTS, 4))
+
+
 def check_oracle_equivalence() -> CheckResult:
     """Closed form vs exact solver on a pseudo-random regime grid."""
-    rng = np.random.default_rng(EQUIVALENCE_SEED)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(EQUIVALENCE_POINTS):
-        alpha = rng.uniform(1.0, 200.0)
-        omega = rng.uniform(0.2, 3.0)
-        dkl = rng.uniform(-math.pi, math.pi)
-        delta = rng.uniform(-0.05, 0.05)
-        m = MediumParams(alpha=alpha, delta_kL=dkl)
-        closed = steady_closed_form(m, omega, delta)
-        oracle = transfer_solve(DriveParams(omega_c=omega, omega_d=omega),
-                                DetuningSet(delta=delta), m)
-        worst = max(
-            worst,
-            abs(closed.ce - oracle.ce) / max(oracle.ce, 1e-30),
-            abs(closed.probe_out - oracle.probe_out)
-            / max(abs(oracle.probe_out), 1e-30))
+    alpha, omega, dkl, delta = equivalence_points().T
+    probe, signal = _amplitudes(alpha, dkl, omega, delta)
+    oracle_probe, oracle_signal, _ = _transfer(dict(
+        alpha=alpha, gamma21=0.0, gamma31=1.0, gamma41=1.0, delta_kL=dkl,
+        omega_c=omega, omega_d=omega, delta=delta, delta_p=0.0, Delta=0.0))
+    ce, oracle_ce = abs(signal) ** 2, abs(oracle_signal) ** 2
+    worst = float(np.max(np.maximum(
+        abs(ce - oracle_ce) / np.maximum(oracle_ce, 1e-30),
+        abs(probe - oracle_probe) / np.maximum(abs(oracle_probe), 1e-30))))
     elapsed = time.perf_counter() - t0
     ok = worst <= EQUIVALENCE_RTOL and elapsed < 5.0
     return CheckResult(1, "oracle-equivalence", ok,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dlambda_fwm
@@ -61,6 +62,29 @@ def test_steady_closed_form_solver(capsys):
                                 "--set", "gamma21=0", "--set", "omega_d=0.6",
                                 "--closed-form"])
     assert code == 2 and "balanced drives" in err
+
+
+def test_phase_matched_resonant_point(capsys):
+    # delta_kL = delta = 0 puts the closed form at beta = 0, a regular point
+    base = ["--preset", "fig4a", "--set", "gamma21=0",
+            "--set", "delta_kL_pi=0", "--set", "delta_khz=0"]
+    code, out, _ = run(capsys, ["steady", *base, "--closed-form"])
+    assert code == 0
+    assert "ce = 0.941189575" in out
+    code, out, _ = run(capsys, ["steady", *base])
+    assert code == 0
+    lines = dict(l.split(" = ") for l in out.splitlines())
+    assert float(lines["closed_form_ce_discrepancy"]) < 1e-10
+    rows = {}
+    for solver in ("--exact", "--closed-form"):
+        code, out, _ = run(capsys, ["sweep", *base, "--variable", "delta",
+                                    "--grid=-20:20:5", solver,
+                                    "--format", "json-like"])
+        assert code == 0
+        rows[solver] = np.array(json.loads(out)["rows"])
+    exact, closed = rows["--exact"], rows["--closed-form"]
+    assert 0.0 in closed[:, 0]
+    np.testing.assert_allclose(closed[:, 1:3], exact[:, 1:3], rtol=1e-8)
 
 
 def test_optimize_delta(capsys):

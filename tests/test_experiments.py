@@ -9,6 +9,7 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
                          bandwidth_fwhm, figure_preset, find_peak,
                          khz_to_gamma, optimal_delta, run_sweep, sweep_csv,
                          transfer_solve)
+from dlambda_fwm import experiments
 from dlambda_fwm.experiments import (PRESET_NAMES, _point_params,
                                      metadata_echo, pulse_csv, pulse_object,
                                      sweep_object)
@@ -98,12 +99,20 @@ def test_sweep_closed_form_matches_exact():
     assert worst < 1e-8
 
 
-def test_sweep_closed_form_out_of_regime_names_grid_point():
+def test_sweep_closed_form_out_of_regime_names_grid_point(monkeypatch):
     pre = _fig4b()                           # gamma21 = 7e-4: out of regime
     spec = SweepSpec("delta", np.array([-200.0, -100.0]), pre.medium,
                      pre.drive, pre.detuning, solver="closed_form")
     with pytest.raises(RegimeError, match="at delta=-200"):
         run_sweep(spec)
+    # the closed-form grid gets the kernel's passivity and finiteness checks
+    spec = replace(spec, medium=replace(pre.medium, gamma21=0.0),
+                   grid=np.array([-200.0, -100.0, 0.0]))
+    for bad, error in ((2.0, "passivity violated"), (np.nan, "finite")):
+        monkeypatch.setattr(experiments, "_amplitudes",
+                            lambda *args: (np.array([0.5, bad, 0.5]), 0.0))
+        with pytest.raises(DomainError, match=f"at delta=-100: .*{error}"):
+            run_sweep(spec)
 
 
 def test_sweep_closed_form_needs_balanced_drives():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
-                         NearSingularError, RegimeError, closed_form_aux,
-                         eit_phase_shift, optimal_delta, steady_closed_form,
-                         transfer_solve)
+                         RegimeError, closed_form_aux, eit_phase_shift,
+                         optimal_delta, steady_closed_form, transfer_solve)
+from dlambda_fwm.validation import (EQUIVALENCE_POINTS, EQUIVALENCE_SEED,
+                                    equivalence_points)
 
 DENSE = MediumParams(alpha=130.0, delta_kL=0.134 * math.pi)
 MOT = MediumParams(alpha=45.0, delta_kL=0.447 * math.pi)
@@ -48,10 +49,16 @@ def test_vacuum_limit():
     assert r.transmittance == pytest.approx(1.0, abs=1e-12)
 
 
-def test_near_singular_origin():
+def test_phase_matched_resonant_origin_is_regular():
+    # dkL = delta = 0 gives beta = 0, where (1 - e^(i beta))/beta -> -i
     m = MediumParams(alpha=130.0, delta_kL=0.0)
-    with pytest.raises(NearSingularError):
-        steady_closed_form(m, 1.2, 0.0)
+    assert closed_form_aux(m, 1.2, 0.0).beta == 0.0
+    closed = steady_closed_form(m, 1.2, 0.0)
+    exact = transfer_solve(DriveParams(omega_c=1.2, omega_d=1.2),
+                           DetuningSet(), m)
+    assert abs(closed.probe_out - exact.probe_out) < 1e-10
+    assert abs(closed.signal_out - exact.signal_out) < 1e-10
+    assert closed.ce == pytest.approx(0.941189575, abs=1e-9)
 
 
 def test_regime_guards():
@@ -88,6 +95,29 @@ def test_matches_exact_solver_random_grid():
                     abs(closed.probe_out - exact.probe_out)
                     / max(abs(exact.probe_out), 1e-30))
     assert worst < 1e-8
+
+
+def test_matches_exact_solver_at_huge_optical_depth():
+    # |Im beta| ~ 6e3..6e4: only the root with Im(beta) >= 0 keeps every
+    # exponential bounded (the second point's principal root has Im < 0)
+    for alpha, dkl, omega, delta in ((1e5, 3.0, 1.2, 0.01),
+                                     (1e6, -2.0, 2.0, -0.03)):
+        m = MediumParams(alpha=alpha, delta_kL=dkl)
+        closed = steady_closed_form(m, omega, delta)
+        exact = transfer_solve(DriveParams(omega_c=omega, omega_d=omega),
+                               DetuningSet(delta=delta), m)
+        assert closed.signal_out == pytest.approx(exact.signal_out, rel=1e-12)
+        assert abs(closed.probe_out - exact.probe_out) < 1e-12
+
+
+def test_equivalence_points_are_the_loop_draws():
+    # check 1 draws its points in one call; the interleaved scalar draws
+    # of a loop give the same numbers
+    rng = np.random.default_rng(EQUIVALENCE_SEED)
+    loop = [(rng.uniform(1.0, 200.0), rng.uniform(0.2, 3.0),
+             rng.uniform(-math.pi, math.pi), rng.uniform(-0.05, 0.05))
+            for _ in range(EQUIVALENCE_POINTS)]
+    assert np.array_equal(equivalence_points(), np.array(loop))
 
 
 def test_mismatch_sign_flip_symmetry():
