@@ -10,9 +10,9 @@ from .errors import (BoundarySolveError, ConfigError, DomainError,
                      FwmError, GridError, RegimeError, ScanRangeError)
 from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
                      gamma_to_khz, khz_to_gamma, parse_config)
-from .steady_numeric import (CoherenceResponse, CouplingMatrix,
-                             coupling_matrix, linear_response,
-                             steady_coherences, transfer_solve)
+from .steady_numeric import (CoherenceResponse, coupling_matrix,
+                             linear_response, solve_grid, steady_coherences,
+                             transfer_solve)
 from .steady_analytic import (ClosedFormAux, OptimalDelta, closed_form_aux,
                               eit_phase_shift, optimal_delta,
                               steady_closed_form)
@@ -26,8 +26,8 @@ __all__ = [
     "__version__",
     "MediumParams", "DriveParams", "DetuningSet", "SteadyResult",
     "khz_to_gamma", "gamma_to_khz", "parse_config",
-    "CoherenceResponse", "CouplingMatrix", "steady_coherences",
-    "linear_response", "coupling_matrix", "transfer_solve",
+    "CoherenceResponse", "steady_coherences", "linear_response",
+    "coupling_matrix", "transfer_solve", "solve_grid",
     "ClosedFormAux", "OptimalDelta", "closed_form_aux", "steady_closed_form",
     "optimal_delta", "eit_phase_shift",
     "PulseSpec", "PulseTrace", "EnergyBudget", "simulate_pulse",

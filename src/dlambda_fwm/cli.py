@@ -34,7 +34,7 @@ class _Usage(Exception):
     pass
 
 
-def _add_common(sub):
+def _add_common(sub, solver=True):
     sub.add_argument("--config", help="path to a key=value config file")
     sub.add_argument("--preset", choices=PRESET_NAMES,
                      help="named scenario preset")
@@ -42,12 +42,13 @@ def _add_common(sub):
                      help="override a config key (repeatable, last wins)")
     sub.add_argument("--out", help="write data here instead of stdout")
     sub.add_argument("--format", choices=("csv", "json-like"), default="csv")
-    solver = sub.add_mutually_exclusive_group()
-    solver.add_argument("--exact", dest="solver", action="store_const",
-                        const="exact", help="exact solver (default)")
-    solver.add_argument("--closed-form", dest="solver", action="store_const",
-                        const="closed_form")
-    sub.set_defaults(solver="exact")
+    if solver:
+        group = sub.add_mutually_exclusive_group()
+        group.add_argument("--exact", dest="solver", action="store_const",
+                           const="exact", help="exact solver (default)")
+        group.add_argument("--closed-form", dest="solver",
+                           action="store_const", const="closed_form")
+        sub.set_defaults(solver="exact")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,18 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="custom grid (kHz for detunings, Gamma otherwise)")
 
     s = subs.add_parser("pulse", help="time-domain pulse propagation")
-    _add_common(s)
+    _add_common(s, solver=False)
     s.add_argument("--shape", choices=("gaussian", "flat_top"))
     s.add_argument("--duration-us", type=float)
     s.add_argument("--t-start-us", type=float)
     s.add_argument("--ramp-us", type=float)
     s.add_argument("--t-max-us", type=float)
     s.add_argument("--n-t", type=int)
-    # deprecated: propagation is exact in z; accepted and ignored
-    s.add_argument("--n-z", type=int, help=argparse.SUPPRESS)
 
     s = subs.add_parser("bandwidth", help="conversion FWHM in MHz")
-    _add_common(s)
+    _add_common(s, solver=False)
 
     s = subs.add_parser("preset", help="print a preset as config key=values")
     s.add_argument("name", choices=PRESET_NAMES)
@@ -138,6 +137,15 @@ def _emit(args, text_data: str):
         sys.stdout.write(text_data)
 
 
+def _emit_values(args, values: dict):
+    """One ``key = value`` line per item, or a JSON object of floats."""
+    if args.format == "json-like":
+        _emit(args, json.dumps({k: float(v) for k, v in values.items()},
+                               indent=2) + "\n")
+    else:
+        _emit(args, "".join(f"{k} = {fmt(v)}\n" for k, v in values.items()))
+
+
 def _cmd_steady(args) -> int:
     (m, d, det), _ = _load_bundle(args)
     regime = regime_error(m, d.omega_c, d.omega_d, det.delta_p, det.Delta)
@@ -156,24 +164,15 @@ def _cmd_steady(args) -> int:
     if args.solver == "exact" and regime is None:
         cf = steady_closed_form(m, d.omega_c, det.delta)
         lines["closed_form_ce_discrepancy"] = abs(cf.ce - r.ce)
-    if args.format == "json-like":
-        _emit(args, json.dumps({k: float(v) for k, v in lines.items()},
-                               indent=2) + "\n")
-    else:
-        _emit(args, "".join(f"{k} = {fmt(v)}\n" for k, v in lines.items()))
+    _emit_values(args, lines)
     return 0
 
 
 def _cmd_optimize_delta(args) -> int:
     (m, d, det), _ = _load_bundle(args)
     r = optimal_delta(m, d.omega_c)
-    if args.format == "json-like":
-        _emit(args, json.dumps({"delta_star_gamma": r.delta,
-                                "delta_star_khz": r.delta_khz},
-                               indent=2) + "\n")
-    else:
-        _emit(args, f"delta_star_gamma = {fmt(r.delta)}\n"
-                    f"delta_star_khz = {fmt(r.delta_khz)}\n")
+    _emit_values(args, {"delta_star_gamma": r.delta,
+                        "delta_star_khz": r.delta_khz})
     return 0
 
 
@@ -207,9 +206,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_pulse(args) -> int:
     (m, d, det), preset = _load_bundle(args)
-    if args.n_z is not None:
-        print("note: --n-z is deprecated and ignored: pulse propagation is "
-              "exact in z", file=sys.stderr)
     pulse = preset.pulse if preset is not None and preset.pulse is not None \
         else PulseSpec(shape="gaussian", duration=30e-6)
     updates = {}
@@ -261,11 +257,7 @@ def _cmd_bandwidth(args) -> int:
         base = replace(det, delta=khz_to_gamma(peak.value, m.gamma_phys))
         print(f"base delta set to grid optimum: {fmt(peak.value)} kHz",
               file=sys.stderr)
-    fwhm = bandwidth_fwhm(m, d, base)
-    if args.format == "json-like":
-        _emit(args, json.dumps({"fwhm_mhz": fwhm}, indent=2) + "\n")
-    else:
-        _emit(args, f"fwhm_mhz = {fmt(fwhm)}\n")
+    _emit_values(args, {"fwhm_mhz": bandwidth_fwhm(m, d, base)})
     return 0
 
 

@@ -38,9 +38,7 @@ runs on KERNEL_CHUNK frequencies at a time, so its temporaries stay small
 on long grids.
 
 Everything is linear in the probe, so traces are computed for a unit
-input amplitude and reported as normalized intensities; peak_amplitude
-never enters the solve (scaling it rescales output intensities exactly
-quadratically, by construction).
+input amplitude and reported as normalized intensities.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .params import DetuningSet, DriveParams, MediumParams
-from .steady_numeric import _point, _transfer_grid
+from .steady_numeric import solve_grid
 
 DT_GAMMA_LIMIT = 0.5
 TAIL_FRACTION = 1e-4
@@ -77,7 +75,6 @@ class PulseSpec:
 
     shape: str
     duration: float
-    peak_amplitude: float = 1.0
     t_start: float = 20e-6
     ramp: Optional[float] = None
     grid: tuple = (0.0, 150e-6, DEFAULT_N_T)
@@ -165,15 +162,14 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
     n_pad = 1 << (2 * len(t) - 1).bit_length()
     spec_p = np.fft.fft(u, n_pad)
     spec_s = np.empty_like(spec_p)
-    point = _point(m, d, det)
     for k in range(0, n_pad, KERNEL_CHUNK):
         chunk = slice(k, min(k + KERNEL_CHUNK, n_pad))
         # the bins' angular frequencies in np.fft.fftfreq order, Gamma units
         j = np.arange(chunk.start, chunk.stop)
         omega = 2.0 * np.pi / (n_pad * dt) * np.where(j < n_pad // 2, j,
                                                       j - n_pad)
-        point["delta"] = det.delta - omega
-        h_p, h_s = _transfer_grid(point, "omega", omega)
+        h_p, h_s = solve_grid(m, d, det, {"omega": omega},
+                              delta=det.delta - omega)
         spec_s[chunk] = h_s * spec_p[chunk]
         spec_p[chunk] *= h_p - 1.0
     probe = u + np.fft.ifft(spec_p, out=spec_p)[:len(t)]

@@ -36,10 +36,12 @@ class ScanRangeError(FwmError):
 
 
 @contextmanager
-def located(name: str, value: float):
+def located(at: dict):
     """Re-raise an FwmError from the block as the same type, its message
-    prefixed with ``at name=value:`` to name the grid point it came from."""
+    prefixed with ``at name=value, ...:`` (one pair per item of ``at``) to
+    name the grid point it came from."""
     try:
         yield
     except FwmError as exc:
-        raise type(exc)(f"at {name}={value:g}: {exc}") from exc
+        where = ", ".join(f"{name}={value:g}" for name, value in at.items())
+        raise type(exc)(f"at {where}: {exc}") from exc

@@ -20,7 +20,7 @@ from .errors import DomainError, ScanRangeError, located
 from .params import (DetuningSet, DriveParams, MediumParams, TWO_PI,
                      gamma_to_khz, khz_to_gamma)
 from .steady_analytic import _amplitudes, _require_regime
-from .steady_numeric import _checked, _point, _transfer_grid
+from .steady_numeric import _checked, solve_grid
 from .dynamics import PulseSpec
 
 SWEEP_VARIABLES = ("omega_d", "delta", "delta_p", "alpha")
@@ -114,19 +114,21 @@ def run_sweep(s: SweepSpec) -> SweepResult:
     # interval and the grid is monotonic, so its two ends stand for every
     # point
     for value in (s.grid[0], s.grid[-1]):
-        with located(s.variable, value):
+        with located({s.variable: value}):
             m, d, det = _point_params(s, value)
             if s.solver == "closed_form":
                 _require_regime(m, d.omega_c, d.omega_d, det.delta_p,
                                 det.Delta)
-    p = _point(s.medium, s.drive, s.detuning)
-    p[s.variable] = (khz_to_gamma(s.grid, s.medium.gamma_phys)
-                     if s.variable in ("delta", "delta_p") else s.grid)
+    axis = {s.variable: (khz_to_gamma(s.grid, s.medium.gamma_phys)
+                         if s.variable in ("delta", "delta_p") else s.grid)}
+    at = {s.variable: s.grid}
     if s.solver == "exact":
-        probe, signal = _transfer_grid(p, s.variable, s.grid)
+        probe, signal = solve_grid(s.medium, s.drive, s.detuning, at, **axis)
     else:
-        probe, signal = _checked(s.variable, s.grid, *_amplitudes(
-            p["alpha"], p["delta_kL"], p["omega_c"], p["delta"]))
+        # in regime, an omega_d or delta_p grid is the point omega_c or 0
+        p = {"alpha": s.medium.alpha, "delta": s.detuning.delta, **axis}
+        probe, signal = _checked(at, *_amplitudes(
+            p["alpha"], s.medium.delta_kL, s.drive.omega_c, p["delta"]))
     t, ce = abs(probe) ** 2, abs(signal) ** 2
     rows = zip(s.grid.tolist(), t.tolist(), ce.tolist(),
                (1.0 - t - ce).tolist())
@@ -182,10 +184,10 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams, det_base: DetuningSet,
     """
     n = int(round(2.0 * half_range / step))
     xs = np.linspace(-half_range, half_range, n + 1)
-    p = _point(m, d, det_base)
-    for name in ("delta", "delta_p", "Delta"):
-        p[name] = p[name] + xs
-    ys = abs(_transfer_grid(p, "probe_shift", xs)[1]) ** 2
+    ys = abs(solve_grid(m, d, det_base, {"probe_shift": xs},
+                        delta=det_base.delta + xs,
+                        delta_p=det_base.delta_p + xs,
+                        Delta=det_base.Delta + xs)[1]) ** 2
     peak = float(ys.max())
     if peak <= 0.0:
         raise ScanRangeError("no conversion peak: ce is identically zero")

@@ -6,9 +6,9 @@ optical coherences (Schur complement of the 3x3 coherence system) leaves
 rho21 = -(c2*Op + c3*Os)/c1 and the field equations d/dz (Op, Os) =
 M (Op, Os), a 2-point boundary value problem with Op(0) = Op0 and
 Os(L) = 0 (the signal builds up backwards), solved in a ratio form that
-needs no matrix exponential.  One array kernel does both; the public
-functions are scalar wrappers over it, and sweeps, the bandwidth scan and
-the pulse propagator use it directly.
+needs no matrix exponential.  One array kernel does both; the scalar
+functions wrap it, and solve_grid evaluates it on a parameter grid for
+sweeps, the bandwidth scan and the pulse propagator.
 """
 
 from __future__ import annotations
@@ -40,20 +40,6 @@ class CoherenceResponse:
     rho21: tuple
     rho31: tuple
     rho41: tuple
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Propagation matrix of the steady field pair.
-
-    ``m`` is the dimensionless 2x2 matrix M*L with
-    d/d(z/L) (Omega_p, Omega_s) = m . (Omega_p, Omega_s); the medium
-    length only ever enters through this product.  Backward signal
-    propagation is already folded into the signs: a lossy signal
-    transition appears as gain along +z.
-    """
-
-    m: np.ndarray
 
 
 def _point(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
@@ -143,27 +129,36 @@ def _result(probe, signal, log_t11) -> SteadyResult:
     return SteadyResult(probe_out=complex(probe), signal_out=complex(signal))
 
 
-def _checked(name: str, values: np.ndarray, probe, signal,
-             log_t11=0.0) -> tuple:
-    """(probe_out, signal_out) broadcast to the grid of ``values``.  The
-    first point that fails transfer_solve's checks raises its error,
-    prefixed with ``at name=values[i]:``; a solver without T[1,1] (the
-    closed form) leaves log_t11 at 0."""
-    probe, signal, log_t11, _ = np.broadcast_arrays(probe, signal, log_t11,
-                                                    values)
+def _checked(at: dict, probe, signal, log_t11=0.0) -> tuple:
+    """(probe_out, signal_out) broadcast to the grid of ``at``'s arrays.
+    The first point that fails transfer_solve's checks raises its error,
+    prefixed with ``at name=value, ...:`` over the items of ``at``; a
+    solver without T[1,1] (the closed form) leaves log_t11 at 0."""
+    probe, signal, log_t11, *values = np.broadcast_arrays(
+        probe, signal, log_t11, *at.values())
     ok = ((log_t11 >= LOG_T11_MIN)
           & (abs(probe) ** 2 + abs(signal) ** 2 <= 1.0 + PASSIVITY_SLACK))
     if not ok.all():
-        i = int(np.argmin(ok))
-        with located(name, values[i]):
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        with located({name: v[i] for name, v in zip(at, values)}):
             _result(probe[i], signal[i], log_t11[i])
     return probe, signal
 
 
-def _transfer_grid(p: dict, name: str, values: np.ndarray) -> tuple:
-    """(probe_out, signal_out) amplitudes of the kernel on a parameter
-    grid, checked point by point as in _checked."""
-    return _checked(name, values, *_transfer(p))
+def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
+               at: dict | None = None, **axes) -> tuple:
+    """Exact (probe_out, signal_out) amplitudes on a parameter grid.
+
+    Each keyword (alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
+    omega_d, delta, delta_p or Delta; any other is a TypeError) replaces
+    that value of (m, d, det) with an array, and the arrays broadcast to a
+    grid of any shape.  Every point gets transfer_solve's checks; the first
+    that fails raises its error prefixed ``at name=value, ...:`` over the
+    arrays of ``at``: the axes by default, or e.g. a grid in user units.
+    """
+    p = _point(m, d, det)
+    p.update(axes)
+    return _checked(axes if at is None else at, *_transfer(p))
 
 
 def linear_response(d: DriveParams, det: DetuningSet,
@@ -188,10 +183,17 @@ def steady_coherences(omega_p: complex, omega_s: complex, d: DriveParams,
 
 
 def coupling_matrix(d: DriveParams, det: DetuningSet,
-                    m: MediumParams) -> CouplingMatrix:
-    """Dimensionless propagation matrix M*L for the steady field pair."""
+                    m: MediumParams) -> np.ndarray:
+    """Propagation matrix of the steady field pair.
+
+    The dimensionless complex 2x2 matrix M*L with
+    d/d(z/L) (Omega_p, Omega_s) = (M*L) . (Omega_p, Omega_s); the medium
+    length only ever enters through this product.  Backward signal
+    propagation is already folded into the signs: a lossy signal
+    transition appears as gain along +z.
+    """
     entries = _eliminate(_point(m, d, det))[4]
-    return CouplingMatrix(m=np.array(entries, dtype=complex).reshape(2, 2))
+    return np.array(entries, dtype=complex).reshape(2, 2)
 
 
 def transfer_solve(d: DriveParams, det: DetuningSet,

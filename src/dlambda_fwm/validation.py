@@ -20,7 +20,7 @@ from .errors import FwmError
 from .experiments import bandwidth_fwhm, figure_preset, find_peak, run_sweep
 from .params import (DetuningSet, DriveParams, MediumParams, khz_to_gamma)
 from .steady_analytic import _amplitudes, eit_phase_shift, optimal_delta
-from .steady_numeric import _transfer, transfer_solve
+from .steady_numeric import solve_grid, transfer_solve
 
 EQUIVALENCE_SEED = 42
 EQUIVALENCE_POINTS = 500
@@ -48,9 +48,10 @@ def check_oracle_equivalence() -> CheckResult:
     t0 = time.perf_counter()
     alpha, omega, dkl, delta = equivalence_points().T
     probe, signal = _amplitudes(alpha, dkl, omega, delta)
-    oracle_probe, oracle_signal, _ = _transfer(dict(
-        alpha=alpha, gamma21=0.0, gamma31=1.0, gamma41=1.0, delta_kL=dkl,
-        omega_c=omega, omega_d=omega, delta=delta, delta_p=0.0, Delta=0.0))
+    # gamma21 = delta_p = Delta = 0 and gamma31 = gamma41 = 1 by default
+    oracle_probe, oracle_signal = solve_grid(
+        MediumParams(alpha=0.0), DriveParams(omega_c=0.0), DetuningSet(),
+        alpha=alpha, delta_kL=dkl, omega_c=omega, omega_d=omega, delta=delta)
     ce, oracle_ce = abs(signal) ** 2, abs(oracle_signal) ** 2
     worst = float(np.max(np.maximum(
         abs(ce - oracle_ce) / np.maximum(oracle_ce, 1e-30),
@@ -149,22 +150,20 @@ def check_dynamics_steady_consistency() -> CheckResult:
 
 
 def check_passivity_and_limits() -> CheckResult:
-    rng = np.random.default_rng(7)
-    worst_sum = -1.0
-    for _ in range(200):
-        m = MediumParams(alpha=rng.uniform(0.0, 200.0),
-                         gamma21=rng.uniform(0.0, 1e-2),
-                         delta_kL=rng.uniform(-math.pi, math.pi))
-        d = DriveParams(omega_c=rng.uniform(0.0, 3.0),
-                        omega_d=rng.uniform(0.0, 3.0))
-        det = DetuningSet(delta=rng.uniform(-0.05, 0.05),
-                          delta_p=rng.uniform(-1.0, 1.0),
-                          Delta=rng.uniform(-1.0, 1.0))
-        try:
-            r = transfer_solve(d, det, m)
-        except FwmError:
-            continue
-        worst_sum = max(worst_sum, r.transmittance + r.ce - 1.0)
+    """T + CE <= 1 on 200 random points (a point that fails the solve's
+    checks fails the check), Beer-Lambert and ideal-EIT limits."""
+    axes = ("alpha", "gamma21", "delta_kL", "omega_c", "omega_d", "delta",
+            "delta_p", "Delta")
+    points = np.random.default_rng(7).uniform(
+        [0.0, 0.0, -math.pi, 0.0, 0.0, -0.05, -1.0, -1.0],
+        [200.0, 1e-2, math.pi, 3.0, 3.0, 0.05, 1.0, 1.0], size=(200, 8))
+    try:
+        probe, signal = solve_grid(
+            MediumParams(alpha=0.0), DriveParams(omega_c=0.0), DetuningSet(),
+            **dict(zip(axes, points.T)))
+    except FwmError as exc:
+        return CheckResult(8, "passivity-and-limits", False, str(exc))
+    worst_sum = float(np.max(abs(probe) ** 2 + abs(signal) ** 2 - 1.0))
     beer_worst = 0.0
     for alpha in (0.1, 1.0, 5.0, 45.0, 130.0):
         r = transfer_solve(DriveParams(omega_c=0.0), DetuningSet(),

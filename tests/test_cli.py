@@ -204,15 +204,20 @@ def test_pulse_work_size_caps_exit_2(capsys):
     code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
                                 "--n-t", "100000000"])
     assert code == 2 and "n_t" in err
-    # --n-z is deprecated: accepted, ignored, one notice on stderr
-    code, out, err = run(capsys, ["pulse", "--preset", "fig2a",
-                                  "--n-z", "1001"])
-    assert code == 0
-    assert err.splitlines()[0] == ("note: --n-z is deprecated and ignored: "
-                                   "pulse propagation is exact in z")
-    assert "n_z" not in out
+    # --n-z is gone: propagation is exact in z
+    code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
+                                "--n-z", "1001"])
+    assert code == 1 and "--n-z" in err
     code, out, _ = run(capsys, ["pulse", "--help"])
     assert code == 0 and "--n-t" in out and "--n-z" not in out
+
+
+@pytest.mark.parametrize("cmd", ["pulse", "bandwidth"])
+@pytest.mark.parametrize("switch", ["--exact", "--closed-form"])
+def test_solver_switch_only_where_read(capsys, cmd, switch):
+    # pulse and bandwidth always run the exact kernel
+    code, _, err = run(capsys, [cmd, "--preset", "fig4b", switch])
+    assert code == 1 and switch in err
 
 
 def test_cli_import_loads_no_scipy():

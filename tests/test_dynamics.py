@@ -116,17 +116,6 @@ def test_causality_flat_top():
     assert np.all(tr.signal_out[before] < 1e-12)
 
 
-def test_linearity_in_peak_amplitude():
-    # traces are normalized to the input peak, so amplitude cancels exactly
-    pre = figure_preset("fig4a")
-    p1 = PulseSpec(shape="gaussian", duration=20e-6, grid=LIGHT)
-    p10 = replace(p1, peak_amplitude=10.0)
-    t1 = simulate_pulse(pre.medium, pre.drive, pre.detuning, p1)
-    t10 = simulate_pulse(pre.medium, pre.drive, pre.detuning, p10)
-    assert np.array_equal(t1.probe_out, t10.probe_out)
-    assert np.array_equal(t1.signal_out, t10.signal_out)
-
-
 def test_kernel_chunks_do_not_change_the_trace(monkeypatch):
     # 2 * 8001 samples pad to 16384 bins: eight full chunks of 2000 and a
     # partial one against a single chunk

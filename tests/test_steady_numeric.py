@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
-                         coupling_matrix, linear_response, steady_coherences,
-                         transfer_solve)
-from dlambda_fwm.steady_numeric import _point, _transfer_grid
+                         coupling_matrix, linear_response, solve_grid,
+                         steady_coherences, steady_numeric, transfer_solve,
+                         validation)
+
 
 def _bloch_residual(m, d, det, omega_p, omega_s, rho):
     """Re-derived steady-state equations, independent of the solver's matrix."""
@@ -90,8 +92,8 @@ def test_coupling_matrix_beer_lambert_structure():
     d = DriveParams(omega_c=0.0)
     det = DetuningSet()
     cm = coupling_matrix(d, det, m)
-    assert cm.m[0, 0] == pytest.approx(-m.alpha / 2)
-    assert cm.m[0, 1] == 0 and cm.m[1, 0] == 0
+    assert cm[0, 0] == pytest.approx(-m.alpha / 2)
+    assert cm[0, 1] == 0 and cm[1, 0] == 0
 
 
 def test_coupling_matrix_no_drive_decouples():
@@ -100,7 +102,7 @@ def test_coupling_matrix_no_drive_decouples():
     d = DriveParams(omega_c=0.6, omega_d=0.0)
     det = DetuningSet(delta=0.003)
     cm = coupling_matrix(d, det, m)
-    assert cm.m[0, 1] == 0 and cm.m[1, 0] == 0
+    assert cm[0, 1] == 0 and cm[1, 0] == 0
 
 
 def test_coupling_matrix_vacuum():
@@ -108,7 +110,7 @@ def test_coupling_matrix_vacuum():
     d = DriveParams(omega_c=1.0, omega_d=1.0)
     cm = coupling_matrix(d, DetuningSet(), m)
     expect = np.array([[0.0, 0.0], [0.0, -0.3j]])
-    assert np.allclose(cm.m, expect, atol=1e-15)
+    assert np.allclose(cm, expect, atol=1e-15)
 
 
 # --- transfer_solve ---------------------------------------------------------
@@ -176,7 +178,7 @@ def test_transfer_matches_scipy_expm():
         det = DetuningSet(delta=float(rng.uniform(-0.05, 0.05)),
                           delta_p=float(rng.uniform(-2, 2)),
                           Delta=float(rng.uniform(-2, 2)))
-        mat = coupling_matrix(d, det, m).m
+        mat = coupling_matrix(d, det, m)
         t = scipy.linalg.expm(mat)
         r = transfer_solve(d, det, m)
         signal, probe = -t[1, 0] / t[1, 1], np.exp(np.trace(mat)) / t[1, 1]
@@ -199,9 +201,52 @@ def test_transfer_passivity_random():
         assert r.transmittance + r.ce <= 1.0 + 1e-9
 
 
-def test_transfer_grid_names_failing_point():
-    p = _point(MediumParams(alpha=1.0), DriveParams(omega_c=1.0),
-               DetuningSet())
-    p["alpha"] = np.array([1.0, np.nan, np.inf])
+# --- solve_grid --------------------------------------------------------------
+
+DENSE = (MediumParams(alpha=130.0, gamma21=7e-4),
+         DriveParams(omega_c=1.2, omega_d=1.2), DetuningSet(delta_p=0.1))
+
+
+def test_solve_grid_matches_transfer_solve():
+    dkl = np.linspace(-0.5, 0.5, 5)[:, None]
+    delta = np.linspace(-0.01, 0.01, 7)[None, :]
+    probe, signal = solve_grid(*DENSE, delta_kL=dkl, delta=delta)
+    assert probe.shape == signal.shape == (5, 7)
+    m, d, det = DENSE
+    for i, j in np.ndindex(probe.shape):
+        r = transfer_solve(d, replace(det, delta=delta[0, j]),
+                           replace(m, delta_kL=dkl[i, 0]))
+        # Python's and numpy's complex division differ in the last bit of
+        # M, and s^2 = N11^2 + M01*M10 cancels terms of ~1e3 down to ~10
+        assert abs(probe[i, j] - r.probe_out) <= 1e-13 * abs(r.probe_out)
+        assert abs(signal[i, j] - r.signal_out) <= 1e-14 * abs(r.signal_out)
+
+
+def test_solve_grid_names_failing_point():
+    alpha = np.array([1.0, np.nan, np.inf])
     with pytest.raises(DomainError, match="at alpha=nan: .* must be finite"):
-        _transfer_grid(p, "alpha", p["alpha"])
+        solve_grid(MediumParams(alpha=1.0), DriveParams(omega_c=1.0),
+                   DetuningSet(), alpha=alpha)
+    # off the first row of a 2-D grid, named on every axis
+    alpha = np.ones((2, 3))
+    alpha[1, 2] = np.nan
+    with pytest.raises(DomainError, match=r"^at alpha=nan, delta_kL=0\.2, "
+                       r"delta=0\.002: .* must be finite"):
+        solve_grid(*DENSE, alpha=alpha,
+                   delta_kL=np.array([0.1, 0.2])[:, None],
+                   delta=np.array([-0.002, 0.0, 0.002]))
+
+
+def test_solve_grid_rejects_unknown_axis():
+    with pytest.raises(TypeError):
+        solve_grid(*DENSE, detla=np.zeros(3))
+
+
+def test_passivity_check_fails_on_a_rejected_point(monkeypatch):
+    # check 8 solves its random points as one grid; a point the solve
+    # rejects fails the check and is named in its detail
+    monkeypatch.setattr(steady_numeric, "LOG_T11_MIN", 1.0)
+    r = validation.check_passivity_and_limits()
+    assert not r.passed
+    assert r.detail.startswith("at alpha=")
+    assert "boundary solve singular" in r.detail
