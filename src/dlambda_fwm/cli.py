@@ -10,7 +10,9 @@ stdout (or --out), diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -18,11 +20,11 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
-from .errors import FwmError
-from .experiments import (PRESET_NAMES, SweepSpec, bandwidth_fwhm,
-                          figure_preset, find_peak, fmt, metadata_echo,
-                          pulse_csv, pulse_object, run_sweep, sweep_csv,
-                          sweep_object)
+from .errors import FwmError, GridError
+from .experiments import (MAX_SWEEP_POINTS, PRESET_NAMES, SweepSpec,
+                          bandwidth_fwhm, figure_preset, find_peak, fmt,
+                          metadata_echo, pulse_csv, pulse_object, run_sweep,
+                          sweep_csv, sweep_object)
 from .params import (CONFIG_KEYS, bundle_from_pairs, khz_to_gamma,
                      parse_config_pairs)
 from .steady_analytic import optimal_delta, regime_error, steady_closed_form
@@ -51,7 +53,10 @@ def _add_common(sub, solver=True):
         sub.set_defaults(solver="exact")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  It is never
+    mutated afterwards: parse_args returns a fresh Namespace each call."""
     p = argparse.ArgumentParser(
         prog="dlambda-fwm",
         description="Backward four-wave-mixing frequency conversion in an "
@@ -66,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("optimize-delta",
                         help="quasi-phase-matching two-photon detuning")
-    _add_common(s)
+    _add_common(s, solver=False)
 
     s = subs.add_parser("sweep", help="sweep a variable, emit a dataset")
     _add_common(s)
@@ -186,9 +191,16 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise _Usage(f"--grid expects START:STOP:STEP, got {args.grid!r}") \
                 from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise _Usage(f"--grid values must be finite, got {args.grid!r}")
         if step == 0.0:
             raise _Usage("--grid step must be nonzero")
-        n = int(round((stop - start) / step))
+        steps = (stop - start) / step
+        # checked before np.linspace allocates the grid
+        if not abs(steps) < MAX_SWEEP_POINTS:
+            raise GridError(f"--grid {args.grid} has more than "
+                            f"{MAX_SWEEP_POINTS} points")
+        n = int(round(steps))
         grid = np.linspace(start, start + n * step, abs(n) + 1)
     if preset is not None and preset.sweep is not None:
         variable = variable or preset.sweep.variable

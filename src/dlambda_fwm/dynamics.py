@@ -43,6 +43,7 @@ input amplitude and reported as normalized intensities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,7 +89,12 @@ class PulseSpec:
             object.__setattr__(self, "ramp", self.duration / 10.0)
         if not self.ramp > 0.0:
             raise DomainError(f"ramp must be > 0, got {self.ramp}")
+        if not math.isfinite(self.t_start):
+            raise DomainError(f"t_start must be finite, got {self.t_start}")
         t_min, t_max, n_t = self.grid
+        if not (math.isfinite(t_min) and math.isfinite(t_max)):
+            raise GridError(f"time grid bounds must be finite, got "
+                            f"({t_min}, {t_max})")
         if not (t_max > t_min):
             raise GridError(f"empty time grid ({t_min}, {t_max})")
         if not 100 <= int(n_t) <= MAX_N_T:

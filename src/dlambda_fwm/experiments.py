@@ -16,17 +16,20 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError, ScanRangeError, located
+from .errors import DomainError, GridError, ScanRangeError, located
 from .params import (DetuningSet, DriveParams, MediumParams, TWO_PI,
                      gamma_to_khz, khz_to_gamma)
 from .steady_analytic import _amplitudes, _require_regime
 from .steady_numeric import _checked, solve_grid
-from .dynamics import PulseSpec
+from .dynamics import MAX_N_T, PulseSpec
 
 SWEEP_VARIABLES = ("omega_d", "delta", "delta_p", "alpha")
 #: sweep-axis unit per variable (detunings scan in kHz, the rest in Gamma)
 VARIABLE_UNITS = {"omega_d": "Gamma", "delta": "kHz",
                   "delta_p": "kHz", "alpha": "dimensionless"}
+
+#: most points a sweep grid may have: the same work-size cap as a pulse grid
+MAX_SWEEP_POINTS = MAX_N_T
 
 BANDWIDTH_STEP = 0.002
 BANDWIDTH_HALF_RANGE = 2.0
@@ -49,6 +52,9 @@ class SweepSpec:
         g = np.asarray(self.grid, dtype=float)
         if g.size == 0:
             raise DomainError("sweep grid is empty")
+        if g.size > MAX_SWEEP_POINTS:
+            raise GridError(f"sweep grid has {g.size} points, more than "
+                            f"{MAX_SWEEP_POINTS}")
         if g.size > 1 and not (np.all(np.diff(g) > 0) or np.all(np.diff(g) < 0)):
             raise DomainError("sweep grid must be strictly monotonic")
         object.__setattr__(self, "grid", g)

@@ -199,6 +199,30 @@ def test_pulse_grid_error_exit_2(capsys):
     assert code == 2 and "dt" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t-start-us", "nan", "t_start must be finite"),
+    ("--t-max-us", "inf", "time grid bounds must be finite"),
+])
+def test_pulse_non_finite_time_exit_2(capsys, flag, value, message):
+    code, out, err = run(capsys, ["pulse", "--preset", "fig5a", flag, value])
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("grid, code, message", [
+    ("0:10:nan", 1, "usage error: --grid values must be finite"),
+    ("0:inf:1", 1, "usage error: --grid values must be finite"),
+    # 10**15 rows: refused before the grid is allocated
+    ("0:1e12:1e-3", 2, "error: --grid 0:1e12:1e-3 has more than 1000000"),
+])
+def test_sweep_bad_grid_typed_exit(capsys, grid, code, message):
+    got, out, err = run(capsys, ["sweep", "--preset", "fig4a",
+                                 "--variable", "delta", f"--grid={grid}"])
+    assert got == code and out == ""
+    assert message in err
+
+
 def test_pulse_work_size_caps_exit_2(capsys):
     # the cap fires before any grid array is allocated
     code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
@@ -212,12 +236,31 @@ def test_pulse_work_size_caps_exit_2(capsys):
     assert code == 0 and "--n-t" in out and "--n-z" not in out
 
 
-@pytest.mark.parametrize("cmd", ["pulse", "bandwidth"])
+@pytest.mark.parametrize("cmd", ["pulse", "bandwidth", "optimize-delta"])
 @pytest.mark.parametrize("switch", ["--exact", "--closed-form"])
 def test_solver_switch_only_where_read(capsys, cmd, switch):
-    # pulse and bandwidth always run the exact kernel
+    # pulse and bandwidth always run the exact kernel; optimize-delta
+    # prints the closed-form delta*
     code, _, err = run(capsys, [cmd, "--preset", "fig4b", switch])
     assert code == 1 and switch in err
+
+
+def test_parser_is_reused_safely(capsys):
+    # one parser per process; no call may leak state into the next
+    cli._build_parser.cache_clear()
+    fresh = run(capsys, ["steady", "--preset", "fig4a"])
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run(capsys, ["steady", "--preset", "fig4a",
+                                "--set", "omega_d=0"])
+    assert code == 0 and "ce = 0\n" in out
+    assert run(capsys, ["steady", "--preset", "fig4a"]) == fresh
+    code, out, _ = run(capsys, ["--version"])
+    assert code == 0 and out == f"dlambda-fwm {dlambda_fwm.__version__}\n"
+    code, out, err = run(capsys, ["steady", "--bogus"])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --bogus" in err
+    code, out, _ = run(capsys, ["sweep", "--help"])
+    assert code == 0 and out.startswith("usage: dlambda-fwm sweep")
 
 
 def test_cli_import_loads_no_scipy():

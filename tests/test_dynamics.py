@@ -44,6 +44,13 @@ def test_pulse_spec_validation():
     # the cap fires before any time sample is allocated
     with pytest.raises(GridError, match="n_t"):
         PulseSpec(shape="gaussian", duration=1e-6, grid=(0.0, 1e-3, 10**9))
+    for t_start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="t_start must be finite"):
+            PulseSpec(shape="gaussian", duration=1e-6, t_start=t_start)
+    for grid in ((0.0, math.inf, 1000), (-math.inf, 1e-4, 1000),
+                 (math.nan, 1e-4, 1000)):
+        with pytest.raises(GridError, match="bounds must be finite"):
+            PulseSpec(shape="gaussian", duration=1e-6, grid=grid)
 
 
 def test_pulse_spec_shapes():

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
-                         RegimeError, ScanRangeError, SweepResult, SweepSpec,
-                         bandwidth_fwhm, figure_preset, find_peak,
-                         khz_to_gamma, optimal_delta, run_sweep, sweep_csv,
-                         transfer_solve)
+from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
+                         MediumParams, RegimeError, ScanRangeError,
+                         SweepResult, SweepSpec, bandwidth_fwhm,
+                         figure_preset, find_peak, khz_to_gamma,
+                         optimal_delta, run_sweep, sweep_csv, transfer_solve)
 from dlambda_fwm import experiments
 from dlambda_fwm.experiments import (PRESET_NAMES, _point_params,
                                      metadata_echo, pulse_csv, pulse_object,
@@ -33,6 +33,11 @@ def test_sweep_spec_validation():
         SweepSpec("delta", np.array([]), pre.medium, pre.drive, pre.detuning)
     with pytest.raises(DomainError):
         SweepSpec("delta", np.array([0.0, 2.0, 1.0]), pre.medium, pre.drive,
+                  pre.detuning)
+    # the same work-size cap as a pulse grid
+    assert experiments.MAX_SWEEP_POINTS == 10 ** 6
+    with pytest.raises(GridError, match="1000001 points"):
+        SweepSpec("delta", np.arange(10 ** 6 + 1.0), pre.medium, pre.drive,
                   pre.detuning)
 
 
