@@ -19,12 +19,13 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
+from .dynamics import energy_budget, group_delay, simulate_pulse
 from .errors import FwmError, GridError
-from .experiments import (MAX_SWEEP_POINTS, PRESET_NAMES, SweepSpec,
-                          bandwidth_fwhm, figure_preset, find_peak, fmt,
-                          metadata_echo, pulse_csv, pulse_object, run_sweep,
-                          sweep_csv, sweep_object)
+from .experiments import (GAUSSIAN_30US, MAX_SWEEP_POINTS, PRESET_NAMES,
+                          SWEEP_VARIABLES, SweepSpec, bandwidth_fwhm,
+                          figure_preset, find_peak, fmt, metadata_echo,
+                          pulse_csv, pulse_object, run_sweep, sweep_csv,
+                          sweep_object)
 from .params import (CONFIG_KEYS, bundle_from_pairs, khz_to_gamma,
                      parse_config_pairs)
 from .steady_analytic import optimal_delta, regime_error, steady_closed_form
@@ -75,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("sweep", help="sweep a variable, emit a dataset")
     _add_common(s)
-    s.add_argument("--variable",
-                   choices=("omega_d", "delta", "delta_p", "alpha"),
+    s.add_argument("--variable", choices=SWEEP_VARIABLES,
                    help="sweep axis (defaults to the preset's)")
     s.add_argument("--grid", metavar="START:STOP:STEP",
                    help="custom grid (kHz for detunings, Gamma otherwise)")
@@ -219,7 +219,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_pulse(args) -> int:
     (m, d, det), preset = _load_bundle(args)
     pulse = preset.pulse if preset is not None and preset.pulse is not None \
-        else PulseSpec(shape="gaussian", duration=30e-6)
+        else GAUSSIAN_30US
     updates = {}
     if args.shape:
         updates["shape"] = args.shape

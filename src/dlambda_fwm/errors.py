@@ -39,9 +39,11 @@ class ScanRangeError(FwmError):
 def located(at: dict):
     """Re-raise an FwmError from the block as the same type, its message
     prefixed with ``at name=value, ...:`` (one pair per item of ``at``) to
-    name the grid point it came from."""
+    name the grid point it came from; an empty ``at`` adds no prefix."""
     try:
         yield
     except FwmError as exc:
+        if not at:
+            raise
         where = ", ".join(f"{name}={value:g}" for name, value in at.items())
         raise type(exc)(f"at {where}: {exc}") from exc

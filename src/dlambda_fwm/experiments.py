@@ -10,7 +10,7 @@ and fig5a/b/c are pulsed conversion runs at three detunings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,15 +18,15 @@ import numpy as np
 from ._version import __version__
 from .errors import DomainError, GridError, ScanRangeError, located
 from .params import (DetuningSet, DriveParams, MediumParams, TWO_PI,
-                     gamma_to_khz, khz_to_gamma)
+                     gamma_to_khz, khz_to_gamma, replace_param)
 from .steady_analytic import _amplitudes, _require_regime
 from .steady_numeric import _checked, solve_grid
 from .dynamics import MAX_N_T, PulseSpec
 
-SWEEP_VARIABLES = ("omega_d", "delta", "delta_p", "alpha")
-#: sweep-axis unit per variable (detunings scan in kHz, the rest in Gamma)
-VARIABLE_UNITS = {"omega_d": "Gamma", "delta": "kHz",
-                  "delta_p": "kHz", "alpha": "dimensionless"}
+#: each sweep variable and the unit of its grid: detunings scan in kHz,
+#: the rest in their kernel units
+SWEEP_VARIABLES = {"omega_d": "Gamma", "delta": "kHz", "delta_p": "kHz",
+                   "alpha": "dimensionless"}
 
 #: most points a sweep grid may have: the same work-size cap as a pulse grid
 MAX_SWEEP_POINTS = MAX_N_T
@@ -81,20 +81,13 @@ class FigurePreset:
     medium: MediumParams
     drive: DriveParams
     detuning: DetuningSet
-    kind: str                       # "sweep" or "pulse"
     sweep: Optional[SweepSpec] = None
     pulse: Optional[PulseSpec] = None
 
-
-def _point_params(s: SweepSpec, value: float):
-    m, d, det = s.medium, s.drive, s.detuning
-    if s.variable == "omega_d":
-        return m, replace(d, omega_d=float(value)), det
-    if s.variable == "delta":
-        return m, d, replace(det, delta=khz_to_gamma(value, m.gamma_phys))
-    if s.variable == "delta_p":
-        return m, d, replace(det, delta_p=khz_to_gamma(value, m.gamma_phys))
-    return replace(m, alpha=float(value)), d, det
+    @property
+    def kind(self) -> str:
+        """"sweep" or "pulse": which of the two specs is set."""
+        return "pulse" if self.sweep is None else "sweep"
 
 
 def metadata_echo(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
@@ -116,23 +109,23 @@ def metadata_echo(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
 
 
 def run_sweep(s: SweepSpec) -> SweepResult:
-    # each variable's valid values, and the closed form's regime, form an
-    # interval and the grid is monotonic, so its two ends stand for every
-    # point
-    for value in (s.grid[0], s.grid[-1]):
-        with located({s.variable: value}):
-            m, d, det = _point_params(s, value)
-            if s.solver == "closed_form":
+    unit = SWEEP_VARIABLES[s.variable]
+    g = khz_to_gamma(s.grid, s.medium.gamma_phys) if unit == "kHz" else s.grid
+    bundle, at = (s.medium, s.drive, s.detuning), {s.variable: s.grid}
+    if s.solver == "exact":
+        probe, signal = solve_grid(*bundle, at, **{s.variable: g})
+    else:
+        # each variable's valid values, and the closed form's regime, form
+        # an interval and the grid is monotonic, so its two ends stand for
+        # every point
+        for i in (0, -1):
+            with located({s.variable: s.grid[i]}):
+                m, d, det = replace_param(bundle, s.variable, float(g[i]))
                 _require_regime(m, d.omega_c, d.omega_d, det.delta_p,
                                 det.Delta)
-    axis = {s.variable: (khz_to_gamma(s.grid, s.medium.gamma_phys)
-                         if s.variable in ("delta", "delta_p") else s.grid)}
-    at = {s.variable: s.grid}
-    if s.solver == "exact":
-        probe, signal = solve_grid(s.medium, s.drive, s.detuning, at, **axis)
-    else:
         # in regime, an omega_d or delta_p grid is the point omega_c or 0
-        p = {"alpha": s.medium.alpha, "delta": s.detuning.delta, **axis}
+        p = {"alpha": s.medium.alpha, "delta": s.detuning.delta,
+             s.variable: g}
         probe, signal = _checked(at, *_amplitudes(
             p["alpha"], s.medium.delta_kL, s.drive.omega_c, p["delta"]))
     t, ce = abs(probe) ** 2, abs(signal) ** 2
@@ -141,7 +134,7 @@ def run_sweep(s: SweepSpec) -> SweepResult:
     meta = metadata_echo(s.medium, s.drive, s.detuning)
     meta["solver"] = s.solver
     meta["variable"] = s.variable
-    meta["unit"] = VARIABLE_UNITS[s.variable]
+    meta["unit"] = unit
     return SweepResult(rows=tuple(rows), metadata=meta)
 
 
@@ -172,24 +165,23 @@ def find_peak(r: SweepResult) -> PeakResult:
                       boundary=False)
 
 
-def bandwidth_fwhm(m: MediumParams, d: DriveParams, det_base: DetuningSet,
-                   step: float = BANDWIDTH_STEP,
-                   half_range: float = BANDWIDTH_HALF_RANGE) -> float:
+def bandwidth_fwhm(m: MediumParams, d: DriveParams,
+                   det_base: DetuningSet) -> float:
     """Conversion bandwidth: FWHM of ce against a probe-frequency scan.
 
     Shifting the probe frequency by x moves every detuning that contains
     it, so the scan evaluates ce at (delta + x, delta_p + x, Delta + x)
-    with the exact solver, on a grid of the given step (Gamma units).
+    with the exact solver, on a grid of step BANDWIDTH_STEP (Gamma units).
     The FWHM is taken from linear interpolation of the half-maximum
     crossings and returned in MHz.  The base point should sit near the
     conversion maximum.
 
     Raises ScanRangeError when ce never falls below half maximum inside
-    [-half_range, +half_range] (including the degenerate alpha -> 0 case
-    where there is no conversion peak at all).
+    +-BANDWIDTH_HALF_RANGE (including the degenerate alpha -> 0 case where
+    there is no conversion peak at all).
     """
-    n = int(round(2.0 * half_range / step))
-    xs = np.linspace(-half_range, half_range, n + 1)
+    h = BANDWIDTH_HALF_RANGE
+    xs = np.linspace(-h, h, int(round(2.0 * h / BANDWIDTH_STEP)) + 1)
     ys = abs(solve_grid(m, d, det_base, {"probe_shift": xs},
                         delta=det_base.delta + xs,
                         delta_p=det_base.delta_p + xs,
@@ -202,7 +194,7 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams, det_base: DetuningSet,
     lo, hi = above[0], above[-1]
     if lo == 0 or hi == len(xs) - 1:
         raise ScanRangeError(
-            f"ce never falls below half max within +-{half_range} Gamma")
+            f"ce never falls below half max within +-{h} Gamma")
 
     def crossing(i_out, i_in):
         return xs[i_out] + (half - ys[i_out]) * (xs[i_in] - xs[i_out]) \
@@ -216,55 +208,51 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams, det_base: DetuningSet,
 # presets
 # ---------------------------------------------------------------------------
 
-_DELTA_GRID_KHZ = np.linspace(-200.0, 150.0, 71)        # 5 kHz steps
-_OMEGA_D_GRID = np.linspace(0.1, 2.5, 49)               # 0.05 Gamma steps
+#: the probe pulse of every pulse preset, and of `pulse` without one
+GAUSSIAN_30US = PulseSpec(shape="gaussian", duration=30e-6)
 
-_MOT = dict(alpha=45.0, gamma21=2e-4, delta_kL=0.447 * math.pi)
-_DENSE = dict(alpha=130.0, gamma21=7e-4, delta_kL=0.134 * math.pi)
+_MOT = MediumParams(alpha=45.0, gamma21=2e-4, delta_kL=0.447 * math.pi)
+_DENSE = MediumParams(alpha=130.0, gamma21=7e-4, delta_kL=0.134 * math.pi)
+
+#: the grid of each preset sweep variable; read-only, as the presets that
+#: hold them are shared
+_PRESET_GRIDS = {"delta": np.linspace(-200.0, 150.0, 71),       # 5 kHz steps
+                 "omega_d": np.linspace(0.1, 2.5, 49)}          # 0.05 Gamma
+for _grid in _PRESET_GRIDS.values():
+    _grid.setflags(write=False)
+
+
+def _preset(name, m, omega_c, omega_d, delta_khz, variable=None):
+    """A sweep of ``variable`` over its grid, or a 30 us gaussian pulse."""
+    d = DriveParams(omega_c=omega_c, omega_d=omega_d)
+    det = DetuningSet(delta=khz_to_gamma(delta_khz, m.gamma_phys))
+    if variable is None:
+        return FigurePreset(name, m, d, det, pulse=GAUSSIAN_30US)
+    return FigurePreset(name, m, d, det, sweep=SweepSpec(
+        variable, _PRESET_GRIDS[variable], m, d, det))
+
+
+#: the named scenario bundles; see the module docstring
+PRESETS = {p.name: p for p in (
+    _preset("fig2a", _MOT, 0.6, 0.0, 0.0),
+    _preset("fig2b", _DENSE, 1.2, 0.0, 0.0),
+    _preset("fig3a", _MOT, 0.6, 0.6, -54.0, "omega_d"),
+    _preset("fig3b", _MOT, 0.6, 0.6, -54.0, "delta"),
+    _preset("fig4a", _DENSE, 1.2, 1.2, -27.0, "omega_d"),
+    _preset("fig4b", _DENSE, 1.2, 1.2, -27.0, "delta"),
+    _preset("fig5a", _DENSE, 1.2, 1.2, -27.0),
+    _preset("fig5b", _DENSE, 1.2, 1.2, 93.0),
+    _preset("fig5c", _DENSE, 1.2, 1.2, -147.0),
+)}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def figure_preset(name: str) -> FigurePreset:
-    """Named scenario bundles (fig2a..fig5c); see the module docstring."""
-    pulse_30us = PulseSpec(shape="gaussian", duration=30e-6)
-    if name == "fig2a":
-        m = MediumParams(**_MOT)
-        d = DriveParams(omega_c=0.6, omega_d=0.0)
-        return FigurePreset(name, m, d, DetuningSet(), "pulse",
-                            pulse=pulse_30us)
-    if name == "fig2b":
-        m = MediumParams(**_DENSE)
-        d = DriveParams(omega_c=1.2, omega_d=0.0)
-        return FigurePreset(name, m, d, DetuningSet(), "pulse",
-                            pulse=pulse_30us)
-    if name in ("fig3a", "fig3b"):
-        m = MediumParams(**_MOT)
-        d = DriveParams(omega_c=0.6, omega_d=0.6)
-        det = DetuningSet(delta=khz_to_gamma(-54.0, m.gamma_phys))
-        if name == "fig3a":
-            sweep = SweepSpec("omega_d", _OMEGA_D_GRID, m, d, det)
-        else:
-            sweep = SweepSpec("delta", _DELTA_GRID_KHZ, m, d, det)
-        return FigurePreset(name, m, d, det, "sweep", sweep=sweep)
-    if name in ("fig4a", "fig4b"):
-        m = MediumParams(**_DENSE)
-        d = DriveParams(omega_c=1.2, omega_d=1.2)
-        det = DetuningSet(delta=khz_to_gamma(-27.0, m.gamma_phys))
-        if name == "fig4a":
-            sweep = SweepSpec("omega_d", _OMEGA_D_GRID, m, d, det)
-        else:
-            sweep = SweepSpec("delta", _DELTA_GRID_KHZ, m, d, det)
-        return FigurePreset(name, m, d, det, "sweep", sweep=sweep)
-    if name in ("fig5a", "fig5b", "fig5c"):
-        m = MediumParams(**_DENSE)
-        d = DriveParams(omega_c=1.2, omega_d=1.2)
-        delta_khz = {"fig5a": -27.0, "fig5b": 93.0, "fig5c": -147.0}[name]
-        det = DetuningSet(delta=khz_to_gamma(delta_khz, m.gamma_phys))
-        return FigurePreset(name, m, d, det, "pulse", pulse=pulse_30us)
-    raise DomainError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b",
-                "fig5a", "fig5b", "fig5c")
+    """The preset ``name`` of PRESETS."""
+    try:
+        return PRESETS[name]
+    except KeyError:
+        raise DomainError(f"unknown preset {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ as MHz, the converters below bridge the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, DomainError
 
@@ -139,6 +139,16 @@ class SteadyResult:
             raise DomainError(
                 f"passivity violated: T + CE = {t + c:.12g} > 1 "
                 f"(T={t:.6g}, CE={c:.6g})")
+
+
+def replace_param(bundle: tuple, name: str, value) -> tuple:
+    """(m, d, det) with field ``name`` set to ``value`` in whichever of the
+    three owns it, through that dataclass's invariants (else TypeError)."""
+    for i, part in enumerate(bundle):
+        if name in part.__dataclass_fields__:
+            return (*bundle[:i], replace(part, **{name: value}),
+                    *bundle[i + 1:])
+    raise TypeError(f"no parameter named {name!r}")
 
 
 def khz_to_gamma(f_khz: float, gamma_phys: float = GAMMA_PHYS_DEFAULT) -> float:

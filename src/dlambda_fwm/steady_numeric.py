@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BoundarySolveError, located
 from .params import (PASSIVITY_SLACK, DetuningSet, DriveParams, MediumParams,
-                     SteadyResult)
+                     SteadyResult, replace_param)
 
 #: log of the smallest |T[1,1]| the boundary solve accepts
 LOG_T11_MIN = math.log(1e-14)
@@ -145,6 +145,23 @@ def _checked(at: dict, probe, signal, log_t11=0.0) -> tuple:
     return probe, signal
 
 
+def _check_axes(bundle: tuple, at: dict, axes: dict) -> None:
+    """Put each axis's smallest and largest value through the invariants
+    of (m, d, det).  Every invariant is an interval and argmin/argmax stop
+    at a NaN, so the points that hold an axis's extremes stand for all of
+    its values; the first of them in grid order that fails raises,
+    located on ``at`` as in _checked."""
+    grid = np.broadcast_arrays(*axes.values(), *at.values())
+    ends = {int(f(v)) for v in grid[:len(axes)] if v.size
+            for f in (np.argmin, np.argmax)}
+    for i in sorted(ends):
+        i = np.unravel_index(i, grid[0].shape)
+        with located({name: v[i] for name, v in zip(at, grid[len(axes):])}):
+            point = bundle
+            for name, v in zip(axes, grid):
+                point = replace_param(point, name, float(v[i]))
+
+
 def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
                at: dict | None = None, **axes) -> tuple:
     """Exact (probe_out, signal_out) amplitudes on a parameter grid.
@@ -152,13 +169,17 @@ def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
     Each keyword (alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
     omega_d, delta, delta_p or Delta; any other is a TypeError) replaces
     that value of (m, d, det) with an array, and the arrays broadcast to a
-    grid of any shape.  Every point gets transfer_solve's checks; the first
-    that fails raises its error prefixed ``at name=value, ...:`` over the
-    arrays of ``at``: the axes by default, or e.g. a grid in user units.
+    grid of any shape.  Every axis keeps the invariants of the parameter
+    it replaces and every point gets transfer_solve's checks; the first
+    point that fails raises its error prefixed ``at name=value, ...:``
+    over the arrays of ``at``: the axes by default, or e.g. a grid in user
+    units.
     """
+    at = axes if at is None else at
+    _check_axes((m, d, det), at, axes)
     p = _point(m, d, det)
     p.update(axes)
-    return _checked(axes if at is None else at, *_transfer(p))
+    return _checked(at, *_transfer(p))
 
 
 def linear_response(d: DriveParams, det: DetuningSet,

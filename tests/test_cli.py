@@ -291,6 +291,50 @@ def test_preset_dump(capsys):
     assert "delta_khz = -27" in lines
 
 
+_MOT = ("alpha = 45", "gamma21 = 0.0002", "gamma31 = 1", "gamma41 = 1",
+        "gamma_phys_mhz = 6", "delta_kL_pi = 0.447")
+_DENSE = ("alpha = 130", "gamma21 = 0.0007", "gamma31 = 1", "gamma41 = 1",
+          "gamma_phys_mhz = 6", "delta_kL_pi = 0.134")
+_GAUSSIAN_30US = dlambda_fwm.PulseSpec("gaussian", 3e-05, t_start=2e-05,
+                                       ramp=3e-06, grid=(0.0, 1.5e-04, 12000))
+_OMEGA_D_AXIS = ("omega_d", 49, 0.1, 2.5)
+_DELTA_AXIS = ("delta", 71, -200.0, 150.0)
+
+
+@pytest.mark.parametrize("name, medium, omega_c, omega_d, delta_khz, axis", [
+    ("fig2a", _MOT, "0.6", "0", "0", None),
+    ("fig2b", _DENSE, "1.2", "0", "0", None),
+    ("fig3a", _MOT, "0.6", "0.6", "-54", _OMEGA_D_AXIS),
+    ("fig3b", _MOT, "0.6", "0.6", "-54", _DELTA_AXIS),
+    ("fig4a", _DENSE, "1.2", "1.2", "-27", _OMEGA_D_AXIS),
+    ("fig4b", _DENSE, "1.2", "1.2", "-27", _DELTA_AXIS),
+    ("fig5a", _DENSE, "1.2", "1.2", "-27", None),
+    ("fig5b", _DENSE, "1.2", "1.2", "93", None),
+    ("fig5c", _DENSE, "1.2", "1.2", "-147", None),
+])
+def test_preset_pinned(capsys, name, medium, omega_c, omega_d, delta_khz,
+                       axis):
+    # every preset's dump, kind and sweep axis or pulse, exactly
+    kind = "pulse" if axis is None else "sweep"
+    code, out, err = run(capsys, ["preset", name])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        f"# preset {name} (kind: {kind})", *medium, f"omega_c = {omega_c}",
+        f"omega_d = {omega_d}", "omega_p0 = 1", f"delta_khz = {delta_khz}",
+        "delta_p_khz = 0", "Delta_khz = 0"]
+    pre = dlambda_fwm.figure_preset(name)
+    assert pre.name == name and pre.kind == kind
+    if axis is None:
+        assert pre.sweep is None and pre.pulse == _GAUSSIAN_30US
+    else:
+        g = pre.sweep.grid
+        assert pre.pulse is None
+        assert (pre.sweep.variable, len(g), g[0], g[-1]) == axis
+        assert pre.sweep.solver == "exact"
+        assert (pre.sweep.medium, pre.sweep.drive, pre.sweep.detuning) == \
+            (pre.medium, pre.drive, pre.detuning)
+
+
 def test_validate_exit_codes(monkeypatch, capsys):
     ok = [CheckResult(1, "a", True, "fine"), CheckResult(2, "b", True, "fine")]
     monkeypatch.setattr(cli, "run_all", lambda: ok)

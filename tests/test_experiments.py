@@ -10,9 +10,10 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
                          figure_preset, find_peak, khz_to_gamma,
                          optimal_delta, run_sweep, sweep_csv, transfer_solve)
 from dlambda_fwm import experiments
-from dlambda_fwm.experiments import (PRESET_NAMES, _point_params,
+from dlambda_fwm.experiments import (PRESET_NAMES, SWEEP_VARIABLES,
                                      metadata_echo, pulse_csv, pulse_object,
                                      sweep_object)
+from dlambda_fwm.params import replace_param
 
 
 def _fig4b():
@@ -63,7 +64,10 @@ def test_sweep_point_matches_direct_solve():
     for variable, grid in grids.items():
         spec = SweepSpec(variable, grid, pre.medium, pre.drive, pre.detuning)
         for value, t, ce, loss in run_sweep(spec).rows:
-            m, d, det = _point_params(spec, value)
+            if SWEEP_VARIABLES[variable] == "kHz":
+                value = khz_to_gamma(value)
+            m, d, det = replace_param((pre.medium, pre.drive, pre.detuning),
+                                      variable, value)
             direct = transfer_solve(d, det, m)
             assert t == pytest.approx(direct.transmittance, rel=1e-14)
             assert ce == pytest.approx(direct.ce, rel=1e-14)
@@ -242,6 +246,13 @@ def test_all_presets_construct():
         assert pre.name == name
         assert (pre.sweep is not None) == (pre.kind == "sweep")
         assert (pre.pulse is not None) == (pre.kind == "pulse")
+
+
+def test_presets_are_shared_and_read_only():
+    pre = figure_preset("fig4a")
+    assert figure_preset("fig4a") is pre
+    with pytest.raises(ValueError):
+        pre.sweep.grid[0] = 0.0
 
 
 def test_unknown_preset():

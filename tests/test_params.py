@@ -6,6 +6,7 @@ import pytest
 from dlambda_fwm import (ConfigError, DetuningSet, DomainError, DriveParams,
                          MediumParams, SteadyResult, gamma_to_khz,
                          khz_to_gamma, parse_config)
+from dlambda_fwm.params import replace_param
 
 
 def test_khz_to_gamma_reference_points():
@@ -136,3 +137,15 @@ def test_steady_result_passivity_guard():
     # squaring a finite amplitude above ~1e154 overflows a Python float
     with pytest.raises(DomainError, match="overflows"):
         SteadyResult(probe_out=1e200, signal_out=0.0)
+
+
+def test_replace_param_sets_the_owning_field():
+    bundle = (MediumParams(alpha=1.0), DriveParams(omega_c=1.0),
+              DetuningSet())
+    m, d, det = replace_param(bundle, "omega_d", 0.5)
+    assert (m, det) == (bundle[0], bundle[2]) and d.omega_d == 0.5
+    assert replace_param(bundle, "Delta", 0.25)[2].Delta == 0.25
+    with pytest.raises(DomainError, match="gamma41 must be > 0"):
+        replace_param(bundle, "gamma41", 0.0)
+    with pytest.raises(TypeError):
+        replace_param(bundle, "detla", 0.0)

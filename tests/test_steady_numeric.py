@@ -237,6 +237,27 @@ def test_solve_grid_names_failing_point():
                    delta=np.array([-0.002, 0.0, 0.002]))
 
 
+@pytest.mark.parametrize("axis, message", [
+    ({"omega_c": np.array([-1.2])},
+     r"^at omega_c=-1\.2: omega_c must be >= 0, got -1\.2$"),
+    ({"gamma31": np.array([-1.0])},
+     r"^at gamma31=-1: gamma31 must be > 0, got -1\.0$"),
+    ({"alpha": np.array([-50.0])},
+     r"^at alpha=-50: alpha must be >= 0, got -50\.0$"),
+], ids=["omega_c", "gamma31", "alpha"])
+def test_solve_grid_axes_keep_parameter_invariants(axis, message):
+    # an axis value the dataclasses would refuse is refused, not solved
+    with pytest.raises(DomainError, match=message):
+        solve_grid(MediumParams(alpha=130.0), DriveParams(1.2, 1.2),
+                   DetuningSet(), **axis)
+
+
+def test_solve_grid_without_axes_adds_no_location():
+    with pytest.raises(DomainError, match=r"^probe_out must be finite"):
+        solve_grid(MediumParams(alpha=1e308), DriveParams(1.2, 1.2),
+                   DetuningSet())
+
+
 def test_solve_grid_rejects_unknown_axis():
     with pytest.raises(TypeError):
         solve_grid(*DENSE, detla=np.zeros(3))
