@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -279,6 +280,34 @@ def test_bandwidth_preset_anchors_at_optimum(capsys):
     assert code == 0
     assert out == "fwhm_mhz = 1.60413304\n"
     assert "base delta set to grid optimum: -27.9184964 kHz" in err
+
+
+#: sha256 of stdout for each dataset command, pinned before the emitter
+#: moved from rows to columns: sweeps, pulses, csv and json-like
+_GOLDEN_STDOUT = [
+    (["sweep", "--preset", "fig3a"],
+     "635bd2e58832817c1af44229d27da926f7fce247eeea7dba67ef70632fe11238"),
+    (["sweep", "--preset", "fig3a", "--format", "json-like"],
+     "c61c54b18b12d305fd03d9b6986ec0b14f3b2f0c6de499f4b555576625e6b14d"),
+    (["sweep", "--preset", "fig4b"],
+     "5e3f16f02d438ea952542cd9f69b0b2aebdaceb709da4fc2904a4e3f9f30184e"),
+    (["sweep", "--preset", "fig4b", "--format", "json-like"],
+     "a4f8896d197582a9364477c06357b1f52fcb528ff743047cc3785971efb02885"),
+    (["sweep", "--preset", "fig4b", "--set", "gamma21=0", "--closed-form"],
+     "2572bd966ed7281dc3442d5e1af920cacc0b024bd4320fa79245ddb197505eb8"),
+    (["pulse", "--preset", "fig5a"],
+     "1a681b753ca5bc556094def29353cdc217c87cdcd52d1be0efecbd88e7c445b4"),
+    (["pulse", "--preset", "fig5a", "--format", "json-like"],
+     "a7a0a8b50bd81ed481236f57ae2420849ff64f3a036e8b43cf0b681fc76d92b9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN_STDOUT,
+                         ids=[" ".join(a) for a, _ in _GOLDEN_STDOUT])
+def test_dataset_stdout_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_preset_dump(capsys):
