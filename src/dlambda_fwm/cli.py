@@ -263,8 +263,9 @@ def _cmd_bandwidth(args) -> int:
     (m, d, det), preset = _load_bundle(args)
     base = det
     if preset is not None and preset.sweep is not None \
-            and preset.sweep.variable == "delta" and not args.set:
-        # anchor the scan at the preset's own conversion optimum
+            and preset.sweep.variable == "delta" \
+            and not (args.set or args.config):
+        # anchor the scan at the optimum of the preset's own parameters
         peak = find_peak(run_sweep(preset.sweep))
         base = replace(det, delta=khz_to_gamma(peak.value, m.gamma_phys))
         print(f"base delta set to grid optimum: {fmt(peak.value)} kHz",

@@ -50,6 +50,8 @@ class SweepSpec:
         if self.solver not in ("exact", "closed_form"):
             raise DomainError(f"unknown solver {self.solver!r}")
         g = np.asarray(self.grid, dtype=float)
+        if g.ndim != 1:
+            raise DomainError(f"sweep grid must be 1-D, got shape {g.shape}")
         if g.size == 0:
             raise DomainError("sweep grid is empty")
         if g.size > MAX_SWEEP_POINTS:
@@ -62,9 +64,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rows of (value, transmittance, ce, loss) plus a metadata echo."""
+    """A sweep as columns: each grid value and its transmittance, ce and
+    loss, float arrays of the grid's length, plus a metadata echo."""
 
-    rows: tuple
+    value: np.ndarray
+    transmittance: np.ndarray
+    ce: np.ndarray
+    loss: np.ndarray
     metadata: dict
 
 
@@ -129,13 +135,11 @@ def run_sweep(s: SweepSpec) -> SweepResult:
         probe, signal = _checked(at, *_amplitudes(
             p["alpha"], s.medium.delta_kL, s.drive.omega_c, p["delta"]))
     t, ce = abs(probe) ** 2, abs(signal) ** 2
-    rows = zip(s.grid.tolist(), t.tolist(), ce.tolist(),
-               (1.0 - t - ce).tolist())
     meta = metadata_echo(s.medium, s.drive, s.detuning)
     meta["solver"] = s.solver
     meta["variable"] = s.variable
     meta["unit"] = unit
-    return SweepResult(rows=tuple(rows), metadata=meta)
+    return SweepResult(s.grid, t, ce, 1.0 - t - ce, meta)
 
 
 def find_peak(r: SweepResult) -> PeakResult:
@@ -143,15 +147,15 @@ def find_peak(r: SweepResult) -> PeakResult:
 
     Boundary maxima are returned unrefined with the boundary flag set.
     """
-    rows = r.rows
-    if len(rows) < 3:
-        raise DomainError(f"need >= 3 rows to locate a peak, got {len(rows)}")
-    ces = [row[2] for row in rows]
-    i = max(range(len(ces)), key=ces.__getitem__)
-    if i == 0 or i == len(rows) - 1:
-        return PeakResult(value=rows[i][0], ce=ces[i], boundary=True)
-    x0, x1, x2 = rows[i - 1][0], rows[i][0], rows[i + 1][0]
-    y0, y1, y2 = ces[i - 1], ces[i], ces[i + 1]
+    n = len(r.ce)
+    if n < 3:
+        raise DomainError(f"need >= 3 rows to locate a peak, got {n}")
+    i = int(np.argmax(r.ce))            # the first maximum
+    if i == 0 or i == n - 1:
+        return PeakResult(value=float(r.value[i]), ce=float(r.ce[i]),
+                          boundary=True)
+    x0, x1, x2 = r.value[i - 1:i + 2].tolist()
+    y0, y1, y2 = r.ce[i - 1:i + 2].tolist()
     num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
     den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
     if den == 0.0:                      # flat triple; keep the grid point
@@ -201,7 +205,7 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams,
             / (ys[i_in] - ys[i_out])
 
     width = crossing(hi + 1, hi) - crossing(lo - 1, lo)
-    return width * m.gamma_phys / (TWO_PI * 1e6)
+    return float(width * m.gamma_phys / (TWO_PI * 1e6))
 
 
 # ---------------------------------------------------------------------------
@@ -269,42 +273,48 @@ def fmt(x: float) -> str:
     return NUMBER % x
 
 
-def _csv(meta: dict, columns: tuple, rows) -> str:
+# The emitters below take a dataset as a tuple of equal-length float
+# arrays, one per name in ``columns``; rows exist only in their output.
+
+def _csv(meta: dict, columns: tuple, data: tuple) -> str:
     row = ",".join([NUMBER] * len(columns))
     lines = [f"# dlambda-fwm v{__version__}"]
     lines += [f"# {k}={fmt(v) if isinstance(v, float) else v}"
               for k, v in meta.items()]
     lines.append(",".join(columns))
-    lines += [row % tuple(r) for r in rows]
+    lines += [row % r for r in zip(*(c.tolist() for c in data))]
     return "\n".join(lines) + "\n"
 
 
-def _object(meta: dict, columns: tuple, rows: list) -> dict:
+def _object(meta: dict, columns: tuple, data: tuple) -> dict:
     return {
         "version": __version__,
         "metadata": dict(meta),
         "columns": list(columns),
-        "rows": rows,
+        "rows": np.column_stack(data).tolist(),
     }
 
 
-def _pulse_rows(trace) -> list:
-    return np.column_stack((trace.t * 1e6, trace.probe_in, trace.probe_out,
-                            trace.signal_out)).tolist()
+def _sweep_columns(r: SweepResult) -> tuple:
+    return r.value, r.transmittance, r.ce, r.loss
+
+
+def _pulse_columns(trace) -> tuple:
+    return trace.t * 1e6, trace.probe_in, trace.probe_out, trace.signal_out
 
 
 def sweep_csv(r: SweepResult) -> str:
-    return _csv(r.metadata, SWEEP_COLUMNS, r.rows)
+    return _csv(r.metadata, SWEEP_COLUMNS, _sweep_columns(r))
 
 
 def pulse_csv(trace, meta: dict) -> str:
-    return _csv(meta, PULSE_COLUMNS, _pulse_rows(trace))
+    return _csv(meta, PULSE_COLUMNS, _pulse_columns(trace))
 
 
 def sweep_object(r: SweepResult) -> dict:
     """Structured-object mirror of the CSV content."""
-    return _object(r.metadata, SWEEP_COLUMNS, [list(row) for row in r.rows])
+    return _object(r.metadata, SWEEP_COLUMNS, _sweep_columns(r))
 
 
 def pulse_object(trace, meta: dict) -> dict:
-    return _object(meta, PULSE_COLUMNS, _pulse_rows(trace))
+    return _object(meta, PULSE_COLUMNS, _pulse_columns(trace))

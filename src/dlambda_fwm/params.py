@@ -174,6 +174,12 @@ CONFIG_KEYS = (
 
 REQUIRED_KEYS = ("alpha", "omega_c")
 
+#: the config keys stored under another field name; every other key is
+#: its own field's name
+_KEY_OF_FIELD = {"gamma_phys": "gamma_phys_mhz", "delta_kL": "delta_kL_pi",
+                 "delta": "delta_khz", "delta_p": "delta_p_khz",
+                 "Delta": "Delta_khz"}
+
 _DEFAULTS = {
     "gamma21": 0.0,
     "gamma31": 1.0,
@@ -269,14 +275,17 @@ def parse_config(text: str) -> tuple:
     omega_d=0, omega_p0=1).
     """
     pairs = parse_config_pairs(text)
-    # re-attach line information for invariant violations where possible
     try:
         return bundle_from_pairs(pairs)
     except ConfigError as exc:
+        # an invariant message starts with the field it names; attach the
+        # last line that sets that field's key, the one that took effect
         msg = str(exc)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            key = raw.split("#", 1)[0].partition("=")[0].strip()
-            if key in pairs and key in msg:
-                raise ConfigError(f"{msg} (key '{key}' set on line {lineno})") \
-                    from None
-        raise
+        field = msg.partition(" ")[0]
+        key = _KEY_OF_FIELD.get(field, field)
+        lines = [lineno for lineno, raw in enumerate(text.splitlines(), 1)
+                 if raw.split("#", 1)[0].partition("=")[0].strip() == key]
+        if not lines:
+            raise
+        raise ConfigError(f"{msg} (key '{key}' set on line {lines[-1]})") \
+            from None

@@ -81,7 +81,7 @@ def check_optimal_detuning() -> CheckResult:
 
 def check_peak_ce_dense() -> CheckResult:
     t0 = time.perf_counter()
-    peak = max(row[2] for row in run_sweep(figure_preset("fig4b").sweep).rows)
+    peak = float(run_sweep(figure_preset("fig4b").sweep).ce.max())
     elapsed = time.perf_counter() - t0
     ok = abs(peak - 0.91) <= 0.03 and elapsed < 1.0
     return CheckResult(3, "peak-ce-dense", ok,
@@ -90,7 +90,7 @@ def check_peak_ce_dense() -> CheckResult:
 
 
 def check_peak_ce_mot() -> CheckResult:
-    peak = max(row[2] for row in run_sweep(figure_preset("fig3b").sweep).rows)
+    peak = float(run_sweep(figure_preset("fig3b").sweep).ce.max())
     ok = abs(peak - 0.814) <= 0.03
     return CheckResult(4, "peak-ce-mot", ok,
                        f"grid peak ce {peak:.4f} (want 0.814+-0.03)")
@@ -187,9 +187,7 @@ def check_balanced_drive() -> CheckResult:
     for name in ("fig3a", "fig4a"):
         pre = figure_preset(name)
         res = run_sweep(pre.sweep)
-        rows = res.rows
-        i = max(range(len(rows)), key=lambda k: rows[k][2])
-        arg = rows[i][0]
+        arg = float(res.value[np.argmax(res.ce)])
         rel = abs(arg - pre.drive.omega_c) / pre.drive.omega_c
         ok = ok and rel <= 0.2
         details.append(f"{name} argmax {arg:.2f} vs omega_c "

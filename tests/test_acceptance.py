@@ -6,6 +6,9 @@ asserts the pass flag, so ``pytest -v tests/test_acceptance.py`` doubles
 as the acceptance report.
 """
 
+import dataclasses
+import json
+
 from dlambda_fwm import validation
 
 
@@ -14,6 +17,13 @@ def _run(check):
     tag = "PASS" if r.passed else "FAIL"
     print(f"[criterion {r.number:>2}] {tag} {r.name}: {r.detail}")
     assert r.passed, f"criterion {r.number} ({r.name}): {r.detail}"
+
+
+def test_check_results_are_json_clean():
+    # every field a plain Python value, so the table serialises as is
+    for r in validation.run_all():
+        assert type(r.passed) is bool, r.name
+        json.dumps(dataclasses.asdict(r))
 
 
 def test_01_oracle_equivalence():

@@ -310,6 +310,19 @@ def test_dataset_stdout_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_bandwidth_config_is_not_anchored_by_preset(tmp_path, capsys):
+    # fig4b's medium and drives, driven away from the optimum: with
+    # --config the parameters are the file's, so --preset must not re-anchor
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text("alpha = 130\ngamma21 = 7e-4\ndelta_kL_pi = 0.134\n"
+                   "omega_c = 1.2\nomega_d = 1.2\ndelta_khz = 60\n")
+    code, out, err = run(capsys, ["bandwidth", "--config", str(cfg)])
+    assert (code, out, err) == (0, "fwhm_mhz = 1.62386007\n", "")
+    code, out, err = run(capsys, ["bandwidth", "--preset", "fig4b",
+                                  "--config", str(cfg)])
+    assert (code, out, err) == (0, "fwhm_mhz = 1.62386007\n", "")
+
+
 def test_preset_dump(capsys):
     code, out, _ = run(capsys, ["preset", "fig4b"])
     assert code == 0

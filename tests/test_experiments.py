@@ -35,6 +35,9 @@ def test_sweep_spec_validation():
     with pytest.raises(DomainError):
         SweepSpec("delta", np.array([0.0, 2.0, 1.0]), pre.medium, pre.drive,
                   pre.detuning)
+    with pytest.raises(DomainError, match="must be 1-D, got shape \\(2, 2\\)"):
+        SweepSpec("delta", np.array([[-30.0, -20.0], [-10.0, 0.0]]),
+                  pre.medium, pre.drive, pre.detuning)
     # the same work-size cap as a pulse grid
     assert experiments.MAX_SWEEP_POINTS == 10 ** 6
     with pytest.raises(GridError, match="1000001 points"):
@@ -48,7 +51,8 @@ def test_sweep_point_matches_direct_solve():
     pre = _fig4b()
     spec = SweepSpec("delta", np.array([-27.0]), pre.medium, pre.drive,
                      pre.detuning)
-    row = run_sweep(spec).rows[0]
+    res = run_sweep(spec)
+    row = (res.value[0], res.transmittance[0], res.ce[0], res.loss[0])
     direct = transfer_solve(pre.drive,
                             replace(pre.detuning, delta=khz_to_gamma(-27.0)),
                             pre.medium)
@@ -63,7 +67,8 @@ def test_sweep_point_matches_direct_solve():
              "alpha": np.linspace(0.0, 400.0, 9)}
     for variable, grid in grids.items():
         spec = SweepSpec(variable, grid, pre.medium, pre.drive, pre.detuning)
-        for value, t, ce, loss in run_sweep(spec).rows:
+        res = run_sweep(spec)
+        for value, t, ce in zip(res.value, res.transmittance, res.ce):
             if SWEEP_VARIABLES[variable] == "kHz":
                 value = khz_to_gamma(value)
             m, d, det = replace_param((pre.medium, pre.drive, pre.detuning),
@@ -75,10 +80,10 @@ def test_sweep_point_matches_direct_solve():
 
 def test_sweep_rows_passive():
     res = run_sweep(_fig4b().sweep)
-    assert len(res.rows) == 71
-    for value, t, ce, loss in res.rows:
-        assert t + ce <= 1.0 + 1e-9
-        assert loss >= -1e-9
+    assert all(len(c) == 71 for c in (res.value, res.transmittance, res.ce,
+                                      res.loss))
+    assert np.all(res.transmittance + res.ce <= 1.0 + 1e-9)
+    assert np.all(res.loss >= -1e-9)
 
 
 def test_sweep_metadata_echo():
@@ -103,8 +108,7 @@ def test_sweep_closed_form_matches_exact():
     exact = run_sweep(SweepSpec("delta", grid, m0, pre.drive, pre.detuning))
     closed = run_sweep(SweepSpec("delta", grid, m0, pre.drive, pre.detuning,
                                  solver="closed_form"))
-    worst = max(abs(a[2] - b[2]) / max(a[2], 1e-30)
-                for a, b in zip(exact.rows, closed.rows))
+    worst = np.max(abs(exact.ce - closed.ce) / np.maximum(exact.ce, 1e-30))
     assert worst < 1e-8
 
 
@@ -147,9 +151,8 @@ def test_sweep_deterministic():
 # --- find_peak --------------------------------------------------------------
 
 def _result_from(xs, ces):
-    rows = tuple((float(x), 0.0, float(c), 1.0 - float(c))
-                 for x, c in zip(xs, ces))
-    return SweepResult(rows=rows, metadata={})
+    xs, ces = np.array(xs, dtype=float), np.array(ces, dtype=float)
+    return SweepResult(xs, np.zeros_like(xs), ces, 1.0 - ces, metadata={})
 
 
 def test_find_peak_recovers_exact_parabola():
@@ -163,6 +166,7 @@ def test_find_peak_recovers_exact_parabola():
 def test_find_peak_boundary_flag():
     pk = find_peak(_result_from([0.0, 1.0, 2.0], [0.1, 0.2, 0.3]))
     assert pk.boundary and pk.value == 2.0 and pk.ce == 0.3
+    assert type(pk.value) is float and type(pk.ce) is float
 
 
 def test_find_peak_needs_three_rows():
@@ -176,6 +180,7 @@ def test_find_peak_dense_sweep():
     assert pk.ce == pytest.approx(0.9216741, abs=1e-6)
     assert not pk.boundary
     assert abs(pk.value - (-28.0)) <= 2.0
+    assert type(pk.value) is float and type(pk.ce) is float
 
 
 def test_find_peak_mot_sweep():
@@ -186,9 +191,8 @@ def test_find_peak_mot_sweep():
 
 def test_drive_sweep_peaks_at_matched_drive():
     for name, omega_c in (("fig4a", 1.2), ("fig3a", 0.6)):
-        rows = run_sweep(figure_preset(name).sweep).rows
-        best = max(rows, key=lambda r: r[2])
-        assert best[0] == omega_c
+        res = run_sweep(figure_preset(name).sweep)
+        assert res.value[np.argmax(res.ce)] == omega_c
 
 
 # --- bandwidth --------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from dlambda_fwm import (ConfigError, DetuningSet, DomainError, DriveParams,
                          MediumParams, SteadyResult, gamma_to_khz,
                          khz_to_gamma, parse_config)
-from dlambda_fwm.params import replace_param
+from dlambda_fwm.params import CONFIG_KEYS, replace_param
 
 
 def test_khz_to_gamma_reference_points():
@@ -68,6 +68,15 @@ def test_parse_config_invariant_violation_names_key_and_line():
         parse_config("omega_c = 1.0\nalpha = -1\n")
     msg = str(exc.value)
     assert "alpha" in msg and "line 2" in msg
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_parse_config_invariant_error_names_line_that_took_effect(key):
+    # a valid setting, then a duplicate non-finite one on line 5: the error
+    # names the key and the line of the value that took effect
+    doc = f"alpha = 1\nomega_c = 1\n{key} = 1\n\n{key} = nan  # bad\n"
+    with pytest.raises(ConfigError, match=f"\\(key '{key}' set on line 5\\)$"):
+        parse_config(doc)
 
 
 def test_parse_config_unknown_key():
