@@ -23,11 +23,9 @@ from .dynamics import energy_budget, group_delay, simulate_pulse
 from .errors import FwmError, GridError
 from .experiments import (GAUSSIAN_30US, MAX_SWEEP_POINTS, PRESET_NAMES,
                           SWEEP_VARIABLES, SweepSpec, bandwidth_fwhm,
-                          figure_preset, find_peak, fmt, metadata_echo,
-                          pulse_csv, pulse_object, run_sweep, sweep_csv,
-                          sweep_object)
-from .params import (CONFIG_KEYS, bundle_from_pairs, khz_to_gamma,
-                     parse_config_pairs)
+                          figure_preset, find_peak, fmt, pulse_csv,
+                          pulse_object, run_sweep, sweep_csv, sweep_object)
+from .params import CONFIG_KEYS, khz_to_gamma, metadata_echo, parse_config
 from .steady_analytic import optimal_delta, regime_error, steady_closed_form
 from .steady_numeric import transfer_solve
 from .validation import run_all
@@ -119,19 +117,28 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _config_text(pre) -> str:
+    """Preset ``pre`` as a config document: what `preset` prints and what
+    `--preset` parses."""
+    lines = [f"# preset {pre.name} (kind: {pre.kind})"]
+    lines += [f"{k} = {fmt(v)}"
+              for k, v in metadata_echo(pre.medium, pre.drive,
+                                        pre.detuning).items()]
+    return "\n".join(lines) + "\n"
+
+
 def _load_bundle(args):
     """Resolve (medium, drive, detuning) plus the preset, if any."""
     overrides = _parse_overrides(args.set)
     preset = figure_preset(args.preset) if args.preset else None
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            pairs = parse_config_pairs(fh.read())
+            text = fh.read()
     elif preset is not None:
-        pairs = metadata_echo(preset.medium, preset.drive, preset.detuning)
+        text = _config_text(preset)
     else:
         raise _Usage("need --preset or --config to define parameters")
-    pairs.update(overrides)
-    return bundle_from_pairs(pairs), preset
+    return parse_config(text, overrides), preset
 
 
 def _emit(args, text_data: str):
@@ -196,12 +203,16 @@ def _cmd_sweep(args) -> int:
         if step == 0.0:
             raise _Usage("--grid step must be nonzero")
         steps = (stop - start) / step
+        if steps < 0.0:
+            raise _Usage(f"--grid step must point from START to STOP, "
+                         f"got {args.grid!r}")
         # checked before np.linspace allocates the grid
-        if not abs(steps) < MAX_SWEEP_POINTS:
+        if not steps < MAX_SWEEP_POINTS:
             raise GridError(f"--grid {args.grid} has more than "
                             f"{MAX_SWEEP_POINTS} points")
-        n = int(round(steps))
-        grid = np.linspace(start, start + n * step, abs(n) + 1)
+        # every point from START towards STOP, none past it
+        n = math.floor(steps + 1e-9)
+        grid = np.linspace(start, start + n * step, n + 1)
     if preset is not None and preset.sweep is not None:
         variable = variable or preset.sweep.variable
         grid = grid if grid is not None else preset.sweep.grid
@@ -275,12 +286,7 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    pre = figure_preset(args.name)
-    lines = [f"# preset {pre.name} (kind: {pre.kind})"]
-    lines += [f"{k} = {fmt(v)}"
-              for k, v in metadata_echo(pre.medium, pre.drive,
-                                        pre.detuning).items()]
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(_config_text(figure_preset(args.name)))
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from ._version import __version__
 from .errors import DomainError, GridError, ScanRangeError, located
 from .params import (DetuningSet, DriveParams, MediumParams, TWO_PI,
-                     gamma_to_khz, khz_to_gamma, replace_param)
+                     khz_to_gamma, metadata_echo, replace_param)
 from .steady_analytic import _amplitudes, _require_regime
 from .steady_numeric import _checked, solve_grid
 from .dynamics import MAX_N_T, PulseSpec
@@ -94,24 +94,6 @@ class FigurePreset:
     def kind(self) -> str:
         """"sweep" or "pulse": which of the two specs is set."""
         return "pulse" if self.sweep is None else "sweep"
-
-
-def metadata_echo(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
-    """Full parameter set in config-file units, insertion-ordered."""
-    return {
-        "alpha": m.alpha,
-        "gamma21": m.gamma21,
-        "gamma31": m.gamma31,
-        "gamma41": m.gamma41,
-        "gamma_phys_mhz": m.gamma_phys / (TWO_PI * 1e6),
-        "delta_kL_pi": m.delta_kL / math.pi,
-        "omega_c": d.omega_c,
-        "omega_d": d.omega_d,
-        "omega_p0": abs(d.omega_p0),
-        "delta_khz": gamma_to_khz(det.delta, m.gamma_phys),
-        "delta_p_khz": gamma_to_khz(det.delta_p, m.gamma_phys),
-        "Delta_khz": gamma_to_khz(det.Delta, m.gamma_phys),
-    }
 
 
 def run_sweep(s: SweepSpec) -> SweepResult:

@@ -75,19 +75,19 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Classical field amplitudes (Rabi frequencies, Gamma units).
+    """Classical drive amplitudes (Rabi frequencies, Gamma units).
 
-    omega_c and omega_d are real non-negative; omega_p0 is the complex
-    input probe amplitude.  omega_c = omega_d = 0 is a valid input and
-    describes a bare two-level absorber.
+    omega_c and omega_d are real non-negative.  omega_c = omega_d = 0 is a
+    valid input and describes a bare two-level absorber.  The model is
+    linear in the weak probe, so no probe amplitude is a parameter: every
+    output is per unit input.
     """
 
     omega_c: float
     omega_d: float = 0.0
-    omega_p0: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        _require_finite(self, ("omega_c", "omega_d", "omega_p0"))
+        _require_finite(self, ("omega_c", "omega_d"))
         if not (self.omega_c >= 0.0):
             raise DomainError(f"omega_c must be >= 0, got {self.omega_c}")
         if not (self.omega_d >= 0.0):
@@ -165,50 +165,41 @@ def gamma_to_khz(x: float, gamma_phys: float = GAMMA_PHYS_DEFAULT) -> float:
 # configuration parsing
 # ---------------------------------------------------------------------------
 
+#: each key of the flat config dialect, in dump order, and the dataclass
+#: field it sets
+_FIELD_OF_KEY = {
+    "alpha": "alpha", "gamma21": "gamma21", "gamma31": "gamma31",
+    "gamma41": "gamma41", "gamma_phys_mhz": "gamma_phys",
+    "delta_kL_pi": "delta_kL", "omega_c": "omega_c", "omega_d": "omega_d",
+    "delta_khz": "delta", "delta_p_khz": "delta_p", "Delta_khz": "Delta",
+}
+_KEY_OF_FIELD = {f: k for k, f in _FIELD_OF_KEY.items()}
+
 #: every key the flat config dialect accepts
-CONFIG_KEYS = (
-    "alpha", "gamma21", "gamma31", "gamma41", "gamma_phys_mhz",
-    "delta_kL_pi", "omega_c", "omega_d", "omega_p0",
-    "delta_khz", "delta_p_khz", "Delta_khz",
-)
+CONFIG_KEYS = tuple(_FIELD_OF_KEY)
 
 REQUIRED_KEYS = ("alpha", "omega_c")
 
-#: the config keys stored under another field name; every other key is
-#: its own field's name
-_KEY_OF_FIELD = {"gamma_phys": "gamma_phys_mhz", "delta_kL": "delta_kL_pi",
-                 "delta": "delta_khz", "delta_p": "delta_p_khz",
-                 "Delta": "Delta_khz"}
 
-_DEFAULTS = {
-    "gamma21": 0.0,
-    "gamma31": 1.0,
-    "gamma41": 1.0,
-    "gamma_phys_mhz": 6.0,
-    "delta_kL_pi": 0.0,
-    "omega_d": 0.0,
-    "omega_p0": 1.0,
-    "delta_khz": 0.0,
-    "delta_p_khz": 0.0,
-    "Delta_khz": 0.0,
-}
-
-
-def parse_config_pairs(text: str) -> dict:
-    """Parse the raw ``key = value`` document into a {key: float} dict.
+def parse_config(text: str, overrides: dict | None = None) -> tuple:
+    """Parse a config document into (MediumParams, DriveParams, DetuningSet).
 
     Dialect: one ``key = value`` pair per line; ``#`` starts a comment
     (full-line or trailing); blank lines are ignored; keys are
     case-sensitive and must come from CONFIG_KEYS; values are decimal
-    numbers.  Duplicate keys: last one wins.
+    numbers.  Duplicate keys: last one wins, and ``overrides`` ({key:
+    float}) win over the document.  Required keys: alpha, omega_c; a
+    missing key takes its dataclass field's default.
 
     Raises
     ------
     ConfigError
-        On an unknown key, a malformed line or a malformed number; the
-        message names the key and the 1-based line number.
+        On an unknown key, a malformed line or number (naming the 1-based
+        line), a missing required key, or a value that breaks an
+        invariant (naming the key and, unless an override set it, the
+        line of the value that took effect).
     """
-    out = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -221,71 +212,62 @@ def parse_config_pairs(text: str) -> dict:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         try:
-            out[key] = float(val)
+            values[key] = float(val)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: malformed number for key '{key}': {val!r}") from None
-    return out
-
-
-def bundle_from_pairs(pairs: dict) -> tuple:
-    """Build the (MediumParams, DriveParams, DetuningSet) bundle from a
-    key/value dict, applying defaults and enforcing invariants."""
-    missing = [k for k in REQUIRED_KEYS if k not in pairs]
+        lines[key] = lineno
+    for key, val in (overrides or {}).items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key '{key}'")
+        values[key] = float(val)
+        lines.pop(key, None)
+    missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(missing))
-    for k in pairs:
-        if k not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key '{k}'")
-    get = lambda k: pairs.get(k, _DEFAULTS.get(k))
-    gamma_phys = TWO_PI * get("gamma_phys_mhz") * 1e6
-    if not gamma_phys > 0:
-        raise ConfigError(
-            f"gamma_phys_mhz must be > 0, got {get('gamma_phys_mhz')}")
+
+    def invalid(key, msg):
+        at = f" (key '{key}' set on line {lines[key]})" if key in lines else ""
+        return ConfigError(msg + at)
+
+    gamma_phys = GAMMA_PHYS_DEFAULT
+    if "gamma_phys_mhz" in values:
+        mhz = values["gamma_phys_mhz"]
+        gamma_phys = TWO_PI * mhz * 1e6
+        if not (math.isfinite(gamma_phys) and gamma_phys > 0.0):
+            raise invalid("gamma_phys_mhz", "gamma_phys_mhz must be finite "
+                          f"and > 0, got {mhz}")
+    fields = {}
+    for key, v in values.items():
+        if key == "delta_kL_pi":
+            v = v * math.pi
+        elif key.endswith("_khz"):
+            v = khz_to_gamma(v, gamma_phys)
+        fields[_FIELD_OF_KEY[key]] = v
+    fields["gamma_phys"] = gamma_phys
     try:
-        medium = MediumParams(
-            alpha=get("alpha"),
-            gamma21=get("gamma21"),
-            gamma31=get("gamma31"),
-            gamma41=get("gamma41"),
-            delta_kL=get("delta_kL_pi") * math.pi,
-            gamma_phys=gamma_phys,
-        )
-        drive = DriveParams(
-            omega_c=get("omega_c"),
-            omega_d=get("omega_d"),
-            omega_p0=complex(get("omega_p0")),
-        )
-        det = DetuningSet(
-            delta=khz_to_gamma(get("delta_khz"), gamma_phys),
-            delta_p=khz_to_gamma(get("delta_p_khz"), gamma_phys),
-            Delta=khz_to_gamma(get("Delta_khz"), gamma_phys),
-        )
+        return tuple(cls(**{f: fields[f] for f in cls.__dataclass_fields__
+                            if f in fields})
+                     for cls in (MediumParams, DriveParams, DetuningSet))
     except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-    return medium, drive, det
-
-
-def parse_config(text: str) -> tuple:
-    """Parse a config document into (MediumParams, DriveParams, DetuningSet).
-
-    See parse_config_pairs for the dialect and CONFIG_KEYS for the key set.
-    Required keys: alpha, omega_c.  Everything else has a default
-    (gamma21=0, gamma31=gamma41=1, Gamma/2pi = 6 MHz, all detunings 0,
-    omega_d=0, omega_p0=1).
-    """
-    pairs = parse_config_pairs(text)
-    try:
-        return bundle_from_pairs(pairs)
-    except ConfigError as exc:
-        # an invariant message starts with the field it names; attach the
-        # last line that sets that field's key, the one that took effect
+        # an invariant message starts with the field it names
         msg = str(exc)
-        field = msg.partition(" ")[0]
-        key = _KEY_OF_FIELD.get(field, field)
-        lines = [lineno for lineno, raw in enumerate(text.splitlines(), 1)
-                 if raw.split("#", 1)[0].partition("=")[0].strip() == key]
-        if not lines:
-            raise
-        raise ConfigError(f"{msg} (key '{key}' set on line {lines[-1]})") \
-            from None
+        raise invalid(_KEY_OF_FIELD[msg.partition(" ")[0]], msg) from None
+
+
+def metadata_echo(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
+    """Full parameter set in config-file units, insertion-ordered as
+    CONFIG_KEYS: the inverse of parse_config."""
+    return {
+        "alpha": m.alpha,
+        "gamma21": m.gamma21,
+        "gamma31": m.gamma31,
+        "gamma41": m.gamma41,
+        "gamma_phys_mhz": m.gamma_phys / (TWO_PI * 1e6),
+        "delta_kL_pi": m.delta_kL / math.pi,
+        "omega_c": d.omega_c,
+        "omega_d": d.omega_d,
+        "delta_khz": gamma_to_khz(det.delta, m.gamma_phys),
+        "delta_p_khz": gamma_to_khz(det.delta_p, m.gamma_phys),
+        "Delta_khz": gamma_to_khz(det.Delta, m.gamma_phys),
+    }

@@ -105,6 +105,9 @@ def test_usage_errors(capsys):
                                 "--set", "bogus=1"])
     assert code == 1 and "unknown key 'bogus'" in err
     code, _, err = run(capsys, ["steady", "--preset", "fig4a",
+                                "--set", "omega_p0=1"])
+    assert code == 1 and "unknown key 'omega_p0'" in err
+    code, _, err = run(capsys, ["steady", "--preset", "fig4a",
                                 "--set", "alpha=abc"])
     assert code == 1 and "malformed" in err
     assert run(capsys, ["steady", "--preset", "nope"])[0] == 1
@@ -119,11 +122,17 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, ["steady", "--config", "/no/such/file.cfg"])
     assert code == 2
-    for bad in ("alpha=inf", "omega_c=inf", "omega_p0=nan"):
+    for bad in ("alpha=inf", "omega_c=inf", "gamma21=nan"):
         code, out, err = run(capsys, ["steady", "--preset", "fig4a",
                                       "--set", bad])
         assert code == 2 and out == ""
         assert f"{bad.partition('=')[0]} must be finite" in err
+    # an overflowing Gamma names the key and value given
+    code, out, err = run(capsys, ["steady", "--preset", "fig4a",
+                                  "--set", "gamma_phys_mhz=1e303"])
+    assert (code, out) == (2, "")
+    assert err == ("error: gamma_phys_mhz must be finite and > 0, "
+                   "got 1e+303\n")
 
 
 def test_config_file_and_override(tmp_path, capsys):
@@ -145,6 +154,23 @@ def test_config_parse_error_exit_2(tmp_path, capsys):
     cfg.write_text("alpha = 130\nbogus = 1\n")
     code, _, err = run(capsys, ["steady", "--config", str(cfg)])
     assert code == 2 and "line 2" in err
+    cfg.write_text("alpha = 130\nomega_c = 1.2\nomega_p0 = 1\n")
+    code, _, err = run(capsys, ["steady", "--config", str(cfg)])
+    assert (code, err) == (2, "error: line 3: unknown key 'omega_p0'\n")
+
+
+def test_config_invariant_error_names_line(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("omega_c = 1.2\n# the optical depth\nalpha = nan\n")
+    code, out, err = run(capsys, ["steady", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == ("error: alpha must be finite, got nan "
+                   "(key 'alpha' set on line 3)\n")
+    # a --set value took effect, so no line of the file is to blame
+    cfg.write_text("alpha = 130\nomega_c = 1.2\n")
+    code, out, err = run(capsys, ["steady", "--config", str(cfg),
+                                  "--set", "alpha=-1"])
+    assert (code, out, err) == (2, "", "error: alpha must be >= 0, got -1.0\n")
 
 
 def test_out_file(tmp_path, capsys):
@@ -163,6 +189,17 @@ def test_sweep_custom_grid(capsys):
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 3
     assert [l.split(",")[0] for l in data] == ["-50", "-25", "0"]
+    # the grid stops at the last point that does not pass STOP
+    for variable, grid, values in [("omega_d", "0:1:0.6", ["0", "0.6"]),
+                                   ("alpha", "10:0:-6", ["10", "4"]),
+                                   ("delta", "0:0.3:0.1",
+                                    ["0", "0.1", "0.2", "0.3"])]:
+        code, out, err = run(capsys, ["sweep", "--preset", "fig4a",
+                                      "--variable", variable,
+                                      f"--grid={grid}"])
+        assert (code, err) == (0, "")
+        data = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [l.split(",")[0] for l in data] == values
 
 
 def test_sweep_preset_roundtrip(tmp_path, capsys):
@@ -214,6 +251,10 @@ def test_pulse_non_finite_time_exit_2(capsys, flag, value, message):
 @pytest.mark.parametrize("grid, code, message", [
     ("0:10:nan", 1, "usage error: --grid values must be finite"),
     ("0:inf:1", 1, "usage error: --grid values must be finite"),
+    # a STEP that points away from STOP never reaches it
+    ("2:0:0.5", 1, "usage error: --grid step must point from START to STOP"),
+    ("-50:0:-25", 1, "usage error: --grid step must point from START to "
+                     "STOP"),
     # 10**15 rows: refused before the grid is allocated
     ("0:1e12:1e-3", 2, "error: --grid 0:1e12:1e-3 has more than 1000000"),
 ])
@@ -282,23 +323,27 @@ def test_bandwidth_preset_anchors_at_optimum(capsys):
     assert "base delta set to grid optimum: -27.9184964 kHz" in err
 
 
-#: sha256 of stdout for each dataset command, pinned before the emitter
-#: moved from rows to columns: sweeps, pulses, csv and json-like
+#: sha256 of stdout for each dataset command: sweeps, pulses, csv and
+#: json-like.  Each was recorded from the release before `omega_p0` was
+#: removed, with its `omega_p0` metadata line deleted: from the command
+#: as given, or, where that release moved the preset's delta by one ulp
+#: on the way to the parser, from the command plus `--config` with the
+#: dump of its preset.
 _GOLDEN_STDOUT = [
     (["sweep", "--preset", "fig3a"],
-     "635bd2e58832817c1af44229d27da926f7fce247eeea7dba67ef70632fe11238"),
+     "cfe4df54526cc53e2acd77fb08487643a9de8f2b51724beb322fdf72663f7981"),
     (["sweep", "--preset", "fig3a", "--format", "json-like"],
-     "c61c54b18b12d305fd03d9b6986ec0b14f3b2f0c6de499f4b555576625e6b14d"),
+     "d93ac5eadfe1b3a65573db09f887320db2779fad8d003ddd17d2ed1af50a6672"),
     (["sweep", "--preset", "fig4b"],
-     "5e3f16f02d438ea952542cd9f69b0b2aebdaceb709da4fc2904a4e3f9f30184e"),
+     "21b9e21f029520809e283c7cad1782fd230c3310596f18262e694745e0ed5f13"),
     (["sweep", "--preset", "fig4b", "--format", "json-like"],
-     "a4f8896d197582a9364477c06357b1f52fcb528ff743047cc3785971efb02885"),
+     "76905b9378c37a52e46cbaaf2b9adfb3dba066307d3ed5d6598bd900455bf8db"),
     (["sweep", "--preset", "fig4b", "--set", "gamma21=0", "--closed-form"],
-     "2572bd966ed7281dc3442d5e1af920cacc0b024bd4320fa79245ddb197505eb8"),
+     "af845cc29bc93bea2df0f1b774decd3e1ad55bca37fd4bdcafed8f81f0075b80"),
     (["pulse", "--preset", "fig5a"],
-     "1a681b753ca5bc556094def29353cdc217c87cdcd52d1be0efecbd88e7c445b4"),
+     "da97be6a7999937c9245f39414d9863cc34c9c2ae9090e31e7ae8bbf0a60e164"),
     (["pulse", "--preset", "fig5a", "--format", "json-like"],
-     "a7a0a8b50bd81ed481236f57ae2420849ff64f3a036e8b43cf0b681fc76d92b9"),
+     "00e117afa393a88c29ef265f5f27de27fdf14c386ceac1c4a13991e824658aeb"),
 ]
 
 
@@ -362,10 +407,13 @@ def test_preset_pinned(capsys, name, medium, omega_c, omega_d, delta_khz,
     assert code == 0 and err == ""
     assert out.splitlines() == [
         f"# preset {name} (kind: {kind})", *medium, f"omega_c = {omega_c}",
-        f"omega_d = {omega_d}", "omega_p0 = 1", f"delta_khz = {delta_khz}",
+        f"omega_d = {omega_d}", f"delta_khz = {delta_khz}",
         "delta_p_khz = 0", "Delta_khz = 0"]
     pre = dlambda_fwm.figure_preset(name)
     assert pre.name == name and pre.kind == kind
+    # the dump is the preset's parameters, bit for bit
+    assert dlambda_fwm.parse_config(out) == \
+        (pre.medium, pre.drive, pre.detuning)
     if axis is None:
         assert pre.sweep is None and pre.pulse == _GAUSSIAN_30US
     else:
@@ -375,6 +423,23 @@ def test_preset_pinned(capsys, name, medium, omega_c, omega_d, delta_khz,
         assert pre.sweep.solver == "exact"
         assert (pre.sweep.medium, pre.sweep.drive, pre.sweep.detuning) == \
             (pre.medium, pre.drive, pre.detuning)
+
+
+@pytest.mark.parametrize("name", dlambda_fwm.experiments.PRESET_NAMES)
+def test_preset_is_its_dump(tmp_path, capsys, name):
+    # --preset P computes from exactly the document `preset P` prints
+    cfg = tmp_path / f"{name}.cfg"
+    code, dump, _ = run(capsys, ["preset", name])
+    assert code == 0
+    cfg.write_text(dump)
+    commands = [["steady"], ["pulse"], ["pulse", "--format", "json-like"]]
+    if dlambda_fwm.figure_preset(name).kind == "sweep":
+        commands += [["sweep"], ["sweep", "--format", "json-like"]]
+    for cmd in commands:
+        argv = [*cmd, "--preset", name]
+        expect = run(capsys, argv)
+        assert expect[0] == 0
+        assert run(capsys, [*argv, "--config", str(cfg)]) == expect
 
 
 def test_validate_exit_codes(monkeypatch, capsys):

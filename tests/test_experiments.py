@@ -89,11 +89,11 @@ def test_sweep_rows_passive():
 def test_sweep_metadata_echo():
     res = run_sweep(_fig4b().sweep)
     meta = res.metadata
-    assert list(meta)[:12] == [
+    assert list(meta)[:11] == [
         "alpha", "gamma21", "gamma31", "gamma41", "gamma_phys_mhz",
-        "delta_kL_pi", "omega_c", "omega_d", "omega_p0",
+        "delta_kL_pi", "omega_c", "omega_d",
         "delta_khz", "delta_p_khz", "Delta_khz"]
-    assert list(meta)[12:] == ["solver", "variable", "unit"]
+    assert list(meta)[11:] == ["solver", "variable", "unit"]
     assert meta["alpha"] == 130.0
     assert meta["delta_kL_pi"] == pytest.approx(0.134)
     assert meta["delta_khz"] == pytest.approx(-27.0)

@@ -44,7 +44,8 @@ def test_parse_config_happy_path():
     # defaults
     assert m.gamma31 == 1.0 and m.gamma41 == 1.0
     assert det.delta_p == 0.0 and det.Delta == 0.0
-    assert d.omega_p0 == 1.0 + 0.0j
+    assert m.gamma_phys == MediumParams(alpha=1.0).gamma_phys
+    assert d == DriveParams(omega_c=1.2, omega_d=1.2)
 
 
 def test_parse_config_duplicate_key_last_wins():
@@ -79,10 +80,41 @@ def test_parse_config_invariant_error_names_line_that_took_effect(key):
         parse_config(doc)
 
 
+def test_parse_config_overrides_win_and_carry_no_line():
+    doc = "alpha = 1\nomega_c = 1\ndelta_khz = 6\n"
+    m, d, det = parse_config(doc, {"alpha": 2.0, "omega_d": 0.5})
+    assert (m.alpha, d.omega_d) == (2.0, 0.5)
+    assert det.delta == pytest.approx(1e-3)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc, {"alpha": -1.0})
+    assert str(exc.value) == "alpha must be >= 0, got -1.0"
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        parse_config(doc, {"bogus": 1.0})
+
+
+def test_parse_config_gamma_phys_mhz_names_its_key():
+    # 1e303 MHz overflows the angular frequency; the error names the key
+    # and the value given, not the derived field
+    with pytest.raises(ConfigError) as exc:
+        parse_config("alpha = 1\nomega_c = 1\ngamma_phys_mhz = 1e303\n")
+    assert str(exc.value) == ("gamma_phys_mhz must be finite and > 0, got "
+                              "1e+303 (key 'gamma_phys_mhz' set on line 3)")
+    with pytest.raises(ConfigError, match="gamma_phys_mhz must be finite "
+                       "and > 0, got 0.0$"):
+        parse_config("alpha = 1\nomega_c = 1\n", {"gamma_phys_mhz": 0.0})
+
+
 def test_parse_config_unknown_key():
     with pytest.raises(ConfigError) as exc:
         parse_config("alpha = 1\nomega_c = 1\nbogus = 3\n")
     assert "bogus" in str(exc.value) and "line 3" in str(exc.value)
+
+
+def test_parse_config_omega_p0_is_unknown():
+    # the probe amplitude is not a parameter of the linear model
+    with pytest.raises(ConfigError,
+                       match="^line 2: unknown key 'omega_p0'$"):
+        parse_config("alpha = 1\nomega_p0 = 1\nomega_c = 1\n")
 
 
 def test_parse_config_malformed_number():
