@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import replace
@@ -24,7 +23,7 @@ from .errors import FwmError, GridError
 from .experiments import (GAUSSIAN_30US, MAX_SWEEP_POINTS, PRESET_NAMES,
                           SWEEP_VARIABLES, SweepSpec, bandwidth_fwhm,
                           figure_preset, find_peak, fmt, pulse_csv,
-                          pulse_object, run_sweep, sweep_csv, sweep_object)
+                          render_values, run_sweep, sweep_csv)
 from .params import CONFIG_KEYS, khz_to_gamma, metadata_echo, parse_config
 from .steady_analytic import optimal_delta, regime_error, steady_closed_form
 from .steady_numeric import transfer_solve
@@ -117,16 +116,6 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _config_text(pre) -> str:
-    """Preset ``pre`` as a config document: what `preset` prints and what
-    `--preset` parses."""
-    lines = [f"# preset {pre.name} (kind: {pre.kind})"]
-    lines += [f"{k} = {fmt(v)}"
-              for k, v in metadata_echo(pre.medium, pre.drive,
-                                        pre.detuning).items()]
-    return "\n".join(lines) + "\n"
-
-
 def _load_bundle(args):
     """Resolve (medium, drive, detuning) plus the preset, if any."""
     overrides = _parse_overrides(args.set)
@@ -135,7 +124,7 @@ def _load_bundle(args):
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     elif preset is not None:
-        text = _config_text(preset)
+        text = preset.config
     else:
         raise _Usage("need --preset or --config to define parameters")
     return parse_config(text, overrides), preset
@@ -149,15 +138,6 @@ def _emit(args, text_data: str):
         sys.stdout.write(text_data)
 
 
-def _emit_values(args, values: dict):
-    """One ``key = value`` line per item, or a JSON object of floats."""
-    if args.format == "json-like":
-        _emit(args, json.dumps({k: float(v) for k, v in values.items()},
-                               indent=2) + "\n")
-    else:
-        _emit(args, "".join(f"{k} = {fmt(v)}\n" for k, v in values.items()))
-
-
 def _cmd_steady(args) -> int:
     (m, d, det), _ = _load_bundle(args)
     regime = regime_error(m, d.omega_c, d.omega_d, det.delta_p, det.Delta)
@@ -167,7 +147,7 @@ def _cmd_steady(args) -> int:
         r = steady_closed_form(m, d.omega_c, det.delta)
     else:
         r = transfer_solve(d, det, m)
-    lines = {
+    values = {
         "transmittance": r.transmittance,
         "ce": r.ce,
         "loss": r.loss,
@@ -175,16 +155,16 @@ def _cmd_steady(args) -> int:
     # report the closed-form/exact gap whenever the point is in regime
     if args.solver == "exact" and regime is None:
         cf = steady_closed_form(m, d.omega_c, det.delta)
-        lines["closed_form_ce_discrepancy"] = abs(cf.ce - r.ce)
-    _emit_values(args, lines)
+        values["closed_form_ce_discrepancy"] = abs(cf.ce - r.ce)
+    _emit(args, render_values(values, args.format))
     return 0
 
 
 def _cmd_optimize_delta(args) -> int:
     (m, d, det), _ = _load_bundle(args)
     r = optimal_delta(m, d.omega_c)
-    _emit_values(args, {"delta_star_gamma": r.delta,
-                        "delta_star_khz": r.delta_khz})
+    _emit(args, render_values({"delta_star_gamma": r.delta,
+                               "delta_star_khz": r.delta_khz}, args.format))
     return 0
 
 
@@ -219,11 +199,7 @@ def _cmd_sweep(args) -> int:
     if variable is None or grid is None:
         raise _Usage("sweep needs --variable and --grid, or a sweep preset")
     spec = SweepSpec(variable, grid, m, d, det, solver=args.solver)
-    res = run_sweep(spec)
-    if args.format == "json-like":
-        _emit(args, json.dumps(sweep_object(res), indent=2) + "\n")
-    else:
-        _emit(args, sweep_csv(res))
+    _emit(args, sweep_csv(run_sweep(spec), args.format))
     return 0
 
 
@@ -254,10 +230,7 @@ def _cmd_pulse(args) -> int:
     meta = metadata_echo(m, d, det)
     meta.update(shape=pulse.shape, duration_us=pulse.duration * 1e6,
                 n_t=pulse.grid[2])
-    if args.format == "json-like":
-        _emit(args, json.dumps(pulse_object(trace, meta), indent=2) + "\n")
-    else:
-        _emit(args, pulse_csv(trace, meta))
+    _emit(args, pulse_csv(trace, meta, args.format))
     try:
         delay_us = group_delay(trace) * 1e6
         print(f"group_delay_us = {fmt(delay_us)}", file=sys.stderr)
@@ -281,12 +254,13 @@ def _cmd_bandwidth(args) -> int:
         base = replace(det, delta=khz_to_gamma(peak.value, m.gamma_phys))
         print(f"base delta set to grid optimum: {fmt(peak.value)} kHz",
               file=sys.stderr)
-    _emit_values(args, {"fwhm_mhz": bandwidth_fwhm(m, d, base)})
+    _emit(args, render_values({"fwhm_mhz": bandwidth_fwhm(m, d, base)},
+                              args.format))
     return 0
 
 
 def _cmd_preset(args) -> int:
-    sys.stdout.write(_config_text(figure_preset(args.name)))
+    sys.stdout.write(figure_preset(args.name).config)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Parameter sweeps, named scenario presets and dataset emission.
+"""Parameter sweeps, named scenario presets and every stdout document.
 
 The fig* presets bundle the parameter sets of the standard demonstration
 scenarios: fig2a/fig2b are slow-light pulse runs (driving field off) in
@@ -9,6 +9,7 @@ and fig5a/b/c are pulsed conversion runs at three detunings.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -94,6 +95,14 @@ class FigurePreset:
     def kind(self) -> str:
         """"sweep" or "pulse": which of the two specs is set."""
         return "pulse" if self.sweep is None else "sweep"
+
+    @property
+    def config(self) -> str:
+        """This preset as a config document: what `preset` prints and
+        what `--preset` parses."""
+        return (f"# preset {self.name} (kind: {self.kind})\n"
+                + render_values(metadata_echo(self.medium, self.drive,
+                                              self.detuning)))
 
 
 def run_sweep(s: SweepSpec) -> SweepResult:
@@ -242,7 +251,7 @@ def figure_preset(name: str) -> FigurePreset:
 
 
 # ---------------------------------------------------------------------------
-# emission
+# output documents: every stdout document, in both --formats
 # ---------------------------------------------------------------------------
 
 #: every number the text outputs print: nine significant digits
@@ -255,10 +264,23 @@ def fmt(x: float) -> str:
     return NUMBER % x
 
 
-# The emitters below take a dataset as a tuple of equal-length float
-# arrays, one per name in ``columns``; rows exist only in their output.
+def render_values(values: dict, format: str = "csv") -> str:
+    """One ``key = value`` line per item or, in json-like format, the JSON
+    object of ``values``."""
+    if format == "json-like":
+        return json.dumps(values, indent=2) + "\n"
+    return "".join(f"{k} = {fmt(v)}\n" for k, v in values.items())
 
-def _csv(meta: dict, columns: tuple, data: tuple) -> str:
+
+def _render_dataset(meta: dict, columns: tuple, data: tuple,
+                    format: str) -> str:
+    """A dataset, given as a tuple of equal-length float arrays, one per
+    name in ``columns``, as CSV under its metadata comments or as a JSON
+    object; rows exist only in the output."""
+    if format == "json-like":
+        return render_values({"version": __version__, "metadata": meta,
+                              "columns": list(columns),
+                              "rows": np.column_stack(data).tolist()}, format)
     row = ",".join([NUMBER] * len(columns))
     lines = [f"# dlambda-fwm v{__version__}"]
     lines += [f"# {k}={fmt(v) if isinstance(v, float) else v}"
@@ -268,35 +290,15 @@ def _csv(meta: dict, columns: tuple, data: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _object(meta: dict, columns: tuple, data: tuple) -> dict:
-    return {
-        "version": __version__,
-        "metadata": dict(meta),
-        "columns": list(columns),
-        "rows": np.column_stack(data).tolist(),
-    }
+def sweep_csv(r: SweepResult, format: str = "csv") -> str:
+    """The sweep ``r`` as a dataset document, csv or json-like."""
+    return _render_dataset(r.metadata, SWEEP_COLUMNS,
+                           (r.value, r.transmittance, r.ce, r.loss), format)
 
 
-def _sweep_columns(r: SweepResult) -> tuple:
-    return r.value, r.transmittance, r.ce, r.loss
-
-
-def _pulse_columns(trace) -> tuple:
-    return trace.t * 1e6, trace.probe_in, trace.probe_out, trace.signal_out
-
-
-def sweep_csv(r: SweepResult) -> str:
-    return _csv(r.metadata, SWEEP_COLUMNS, _sweep_columns(r))
-
-
-def pulse_csv(trace, meta: dict) -> str:
-    return _csv(meta, PULSE_COLUMNS, _pulse_columns(trace))
-
-
-def sweep_object(r: SweepResult) -> dict:
-    """Structured-object mirror of the CSV content."""
-    return _object(r.metadata, SWEEP_COLUMNS, _sweep_columns(r))
-
-
-def pulse_object(trace, meta: dict) -> dict:
-    return _object(meta, PULSE_COLUMNS, _pulse_columns(trace))
+def pulse_csv(trace, meta: dict, format: str = "csv") -> str:
+    """The pulse ``trace`` under ``meta`` as a dataset document, csv or
+    json-like."""
+    return _render_dataset(meta, PULSE_COLUMNS,
+                           (trace.t * 1e6, trace.probe_in, trace.probe_out,
+                            trace.signal_out), format)

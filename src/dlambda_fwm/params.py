@@ -242,7 +242,12 @@ def parse_config(text: str, overrides: dict | None = None) -> tuple:
         if key == "delta_kL_pi":
             v = v * math.pi
         elif key.endswith("_khz"):
-            v = khz_to_gamma(v, gamma_phys)
+            khz, v = v, khz_to_gamma(v, gamma_phys)
+            # finite at the default Gamma, so the small Gamma overflowed it
+            if math.isfinite(khz_to_gamma(khz)) and not math.isfinite(v):
+                raise invalid("gamma_phys_mhz", "gamma_phys_mhz = "
+                              f"{values['gamma_phys_mhz']} is too small: "
+                              f"{key} = {khz} overflows in Gamma units")
         fields[_FIELD_OF_KEY[key]] = v
     fields["gamma_phys"] = gamma_phys
     try:

@@ -77,7 +77,7 @@ def regime_error(m: MediumParams, omega_c: float, omega_d: float,
     if delta_p != 0.0 or Delta != 0.0:
         return RegimeError(
             "closed form needs one- and three-photon resonance "
-            f"(delta_p={delta_p}, Delta={Delta})")
+            f"(delta_p={delta_p}, Delta={Delta}, in units of Gamma)")
     if omega_c <= 0.0:
         return DomainError(f"closed form needs omega > 0, got {omega_c}")
     if m.gamma21 != 0.0:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -11,8 +12,7 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
                          optimal_delta, run_sweep, sweep_csv, transfer_solve)
 from dlambda_fwm import experiments
 from dlambda_fwm.experiments import (PRESET_NAMES, SWEEP_VARIABLES,
-                                     metadata_echo, pulse_csv, pulse_object,
-                                     sweep_object)
+                                     metadata_echo, pulse_csv)
 from dlambda_fwm.params import replace_param
 
 
@@ -285,9 +285,9 @@ def test_sweep_csv_layout():
         assert len(parts) == 4
 
 
-def test_sweep_object_mirror():
+def test_sweep_json_mirror():
     res = run_sweep(_fig4b().sweep)
-    obj = sweep_object(res)
+    obj = json.loads(sweep_csv(res, "json-like"))
     assert obj["version"] == "0.1.0"
     assert obj["columns"] == ["value", "transmittance", "ce", "loss"]
     assert len(obj["rows"]) == 71
@@ -309,6 +309,6 @@ def test_pulse_csv_layout():
     assert lines[header] == "t_us,probe_in,probe_out,signal_out"
     assert lines[header + 1] == "0,0,0,0"
     assert lines[header + 2] == "1,1,0.5,0.25"
-    obj = pulse_object(tr, meta)
+    obj = json.loads(pulse_csv(tr, meta, "json-like"))
     assert obj["columns"] == ["t_us", "probe_in", "probe_out", "signal_out"]
     assert obj["rows"][2] == pytest.approx([2.0, 0.0, 0.25, 0.125])

@@ -102,6 +102,17 @@ def test_parse_config_gamma_phys_mhz_names_its_key():
     with pytest.raises(ConfigError, match="gamma_phys_mhz must be finite "
                        "and > 0, got 0.0$"):
         parse_config("alpha = 1\nomega_c = 1\n", {"gamma_phys_mhz": 0.0})
+    # a Gamma small enough to overflow a finite kHz detuning is to blame
+    with pytest.raises(ConfigError) as exc:
+        parse_config("alpha = 1\nomega_c = 1\ngamma_phys_mhz = 1e-310\n"
+                     "delta_p_khz = 50\n")
+    assert str(exc.value) == ("gamma_phys_mhz = 1e-310 is too small: "
+                              "delta_p_khz = 50.0 overflows in Gamma units "
+                              "(key 'gamma_phys_mhz' set on line 3)")
+    # a detuning that overflows at any Gamma is its own key's fault
+    with pytest.raises(ConfigError, match="^delta must be finite, got inf "
+                       r"\(key 'delta_khz' set on line 3\)$"):
+        parse_config("alpha = 1\nomega_c = 1\ndelta_khz = 1e306\n")
 
 
 def test_parse_config_unknown_key():
