@@ -2,7 +2,7 @@
 
 Subcommands: steady, optimize-delta, sweep, pulse, bandwidth, preset,
 validate.  Parameters come from --preset and/or --config, with --set
-key=value overrides applied last (config-file key names).  Data goes to
+key=value overrides applied last (each read as a config line).  Data goes to
 stdout (or --out), diagnostics to stderr.  Exit codes: 0 success,
 1 usage error, 2 domain/solver error, 3 validation failure.
 """
@@ -19,12 +19,12 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import energy_budget, group_delay, simulate_pulse
-from .errors import FwmError, GridError
+from .errors import ConfigError, FwmError, GridError
 from .experiments import (GAUSSIAN_30US, MAX_SWEEP_POINTS, PRESET_NAMES,
                           SWEEP_VARIABLES, SweepSpec, bandwidth_fwhm,
                           figure_preset, find_peak, fmt, pulse_csv,
                           render_values, run_sweep, sweep_csv)
-from .params import CONFIG_KEYS, khz_to_gamma, metadata_echo, parse_config
+from .params import khz_to_gamma, metadata_echo, parse_config, parse_pair
 from .steady_analytic import optimal_delta, regime_error, steady_closed_form
 from .steady_numeric import transfer_solve
 from .validation import run_all
@@ -34,12 +34,18 @@ class _Usage(Exception):
     pass
 
 
+def microseconds(text: str) -> float:
+    """Seconds, for PulseSpec, from a time flag's microseconds."""
+    return float(text) * 1e-6
+
+
 def _add_common(sub, solver=True):
     sub.add_argument("--config", help="path to a key=value config file")
     sub.add_argument("--preset", choices=PRESET_NAMES,
                      help="named scenario preset")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
-                     help="override a config key (repeatable, last wins)")
+                     help="override a config key, written as a config "
+                          "line (repeatable, last wins)")
     sub.add_argument("--out", help="write data here instead of stdout")
     sub.add_argument("--format", choices=("csv", "json-like"), default="csv")
     if solver:
@@ -76,15 +82,19 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variable", choices=SWEEP_VARIABLES,
                    help="sweep axis (defaults to the preset's)")
     s.add_argument("--grid", metavar="START:STOP:STEP",
-                   help="custom grid (kHz for detunings, Gamma otherwise)")
+                   help="custom grid in the variable's unit ("
+                        + ", ".join(f"{v}: {unit}" for v, unit
+                                    in SWEEP_VARIABLES.items()) + ")")
 
     s = subs.add_parser("pulse", help="time-domain pulse propagation")
     _add_common(s, solver=False)
+    # each flag sets the PulseSpec field its dest names
     s.add_argument("--shape", choices=("gaussian", "flat_top"))
-    s.add_argument("--duration-us", type=float)
-    s.add_argument("--t-start-us", type=float)
-    s.add_argument("--ramp-us", type=float)
-    s.add_argument("--t-max-us", type=float)
+    s.add_argument("--duration-us", dest="duration", type=microseconds)
+    s.add_argument("--t-start-us", dest="t_start", type=microseconds)
+    s.add_argument("--ramp-us", dest="ramp", type=microseconds,
+                   help="flat-top ramp time (default: duration/10)")
+    s.add_argument("--t-max-us", dest="t_max", type=microseconds)
     s.add_argument("--n-t", type=int)
 
     s = subs.add_parser("bandwidth", help="conversion FWHM in MHz")
@@ -98,27 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_overrides(pairs) -> dict:
-    out = {}
-    for item in pairs:
-        key, sep, val = item.partition("=")
-        key = key.strip()
-        if not sep:
-            raise _Usage(f"--set expects KEY=VALUE, got {item!r}")
-        if key not in CONFIG_KEYS:
-            raise _Usage(f"--set: unknown key '{key}' (known: "
-                         + ", ".join(CONFIG_KEYS) + ")")
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise _Usage(f"--set: malformed number for '{key}': {val!r}") \
-                from None
-    return out
-
-
 def _load_bundle(args):
     """Resolve (medium, drive, detuning) plus the preset, if any."""
-    overrides = _parse_overrides(args.set)
+    try:
+        overrides = dict(map(parse_pair, args.set))
+    except ConfigError as exc:
+        raise _Usage(f"--set: {exc}") from None
     preset = figure_preset(args.preset) if args.preset else None
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -205,26 +200,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_pulse(args) -> int:
     (m, d, det), preset = _load_bundle(args)
-    pulse = preset.pulse if preset is not None and preset.pulse is not None \
+    base = preset.pulse if preset is not None and preset.pulse is not None \
         else GAUSSIAN_30US
-    updates = {}
-    if args.shape:
-        updates["shape"] = args.shape
-    if args.duration_us is not None:
-        updates["duration"] = args.duration_us * 1e-6
-    if args.t_start_us is not None:
-        updates["t_start"] = args.t_start_us * 1e-6
-    if args.ramp_us is not None:
-        updates["ramp"] = args.ramp_us * 1e-6
-    if args.t_max_us is not None or args.n_t is not None:
-        t_min, t_max, n_t = pulse.grid
-        if args.t_max_us is not None:
-            t_max = args.t_max_us * 1e-6
-        if args.n_t is not None:
-            n_t = args.n_t
-        updates["grid"] = (t_min, t_max, n_t)
-    if updates:
-        pulse = replace(pulse, **updates)
+    given = {f: getattr(args, f) for f in ("shape", "duration", "t_start",
+                                           "t_max", "n_t")
+             if getattr(args, f) is not None}
+    t_min, t_max, n_t = base.grid
+    grid = (t_min, given.pop("t_max", t_max), given.pop("n_t", n_t))
+    pulse = replace(base, **given, ramp=args.ramp, grid=grid)
     trace = simulate_pulse(m, d, det, pulse)
     budget = energy_budget(trace)
     meta = metadata_echo(m, d, det)

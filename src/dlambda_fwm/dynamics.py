@@ -91,13 +91,19 @@ class PulseSpec:
             raise DomainError(f"ramp must be > 0, got {self.ramp}")
         if not math.isfinite(self.t_start):
             raise DomainError(f"t_start must be finite, got {self.t_start}")
-        t_min, t_max, n_t = self.grid
-        if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        try:
+            t_min, t_max, n_t = self.grid
+            finite = math.isfinite(t_min) and math.isfinite(t_max)
+            n_t_ok = 100 <= n_t <= MAX_N_T      # False for a NaN
+        except (TypeError, ValueError):
+            raise GridError("grid must be three numbers (t_min, t_max, n_t), "
+                            f"got {self.grid!r}") from None
+        if not finite:
             raise GridError(f"time grid bounds must be finite, got "
                             f"({t_min}, {t_max})")
         if not (t_max > t_min):
             raise GridError(f"empty time grid ({t_min}, {t_max})")
-        if not 100 <= int(n_t) <= MAX_N_T:
+        if not n_t_ok:
             raise GridError(f"n_t must be in [100, {MAX_N_T}], got {n_t}")
 
     def support_end(self) -> float:
@@ -158,7 +164,9 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
         raise GridError(
             f"time step too coarse: dt*Gamma = {dt:.3f} > "
             f"{DT_GAMMA_LIMIT} (raise n_t or shrink the window)")
-    delay = (m.alpha / d.omega_c ** 2 / m.gamma_phys) if d.omega_c > 0 else 0.0
+    # the EIT group delay; a drive whose square underflows counts as off
+    w2 = d.omega_c * d.omega_c
+    delay = m.alpha / w2 / m.gamma_phys if w2 > 0.0 else 0.0
     if t[-1] < p.support_end() + 3.0 * delay:
         raise GridError(
             f"grid ends at {t[-1]*1e6:.1f} us but pulse support plus 3 "

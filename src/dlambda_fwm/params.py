@@ -181,11 +181,31 @@ CONFIG_KEYS = tuple(_FIELD_OF_KEY)
 REQUIRED_KEYS = ("alpha", "omega_c")
 
 
+def _known(key: str) -> str:
+    if key in CONFIG_KEYS:
+        return key
+    raise ConfigError(f"unknown key '{key}' (known: {', '.join(CONFIG_KEYS)})")
+
+
+def parse_pair(item: str) -> tuple:
+    """(key, float) of one ``key = value`` config line or CLI --set item;
+    ConfigError on a missing '=', an unknown key or a malformed number."""
+    key, sep, val = item.partition("=")
+    key = key.strip()
+    if not sep:
+        raise ConfigError(f"expected 'key = value', got {item!r}")
+    try:
+        return _known(key), float(val)
+    except ValueError:
+        raise ConfigError(
+            f"malformed number for key '{key}': {val.strip()!r}") from None
+
+
 def parse_config(text: str, overrides: dict | None = None) -> tuple:
     """Parse a config document into (MediumParams, DriveParams, DetuningSet).
 
-    Dialect: one ``key = value`` pair per line; ``#`` starts a comment
-    (full-line or trailing); blank lines are ignored; keys are
+    Dialect: one ``key = value`` pair per line (parse_pair); ``#`` starts
+    a comment (full-line or trailing); blank lines are ignored; keys are
     case-sensitive and must come from CONFIG_KEYS; values are decimal
     numbers.  Duplicate keys: last one wins, and ``overrides`` ({key:
     float}) win over the document.  Required keys: alpha, omega_c; a
@@ -204,23 +224,13 @@ def parse_config(text: str, overrides: dict | None = None) -> tuple:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'")
         try:
-            values[key] = float(val)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: malformed number for key '{key}': {val!r}") from None
-        lines[key] = lineno
+            key, val = parse_pair(line)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        values[key], lines[key] = val, lineno
     for key, val in (overrides or {}).items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key '{key}'")
-        values[key] = float(val)
+        values[_known(key)] = float(val)
         lines.pop(key, None)
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:

@@ -35,6 +35,7 @@ at dkL = delta = 0 (phase-matched and resonant) is an ordinary point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,9 @@ def regime_error(m: MediumParams, omega_c: float, omega_d: float,
         return RegimeError(
             "closed form needs one- and three-photon resonance "
             f"(delta_p={delta_p}, Delta={Delta}, in units of Gamma)")
-    if omega_c <= 0.0:
-        return DomainError(f"closed form needs omega > 0, got {omega_c}")
+    if not (omega_c > 0.0 and omega_c * omega_c > 0.0):
+        return DomainError(f"closed form needs omega > 0 with a nonzero "
+                           f"omega^2, got {omega_c}")
     if m.gamma21 != 0.0:
         return RegimeError(
             f"closed form assumes gamma21 = 0, got {m.gamma21}; "
@@ -103,17 +105,19 @@ def _aux(alpha, delta_kL, omega, delta) -> tuple:
 
 def _amplitudes(alpha, delta_kL, omega, delta) -> tuple:
     """Closed-form (probe_out, signal_out) on scalars or broadcast arrays;
-    the caller checks the regime."""
-    _, kappa, beta2, c = _aux(alpha, delta_kL, omega, delta)
-    ib = -np.sqrt(-beta2)          # i*beta for the root with Im(beta) >= 0
-    em = np.expm1(ib)              # w - 1
-    one_w = 2.0 + em               # 1 + w
-    # f = (1 - w)/beta = -i*em/ib; at ib = 0 both get 1 added: f(0) = -i
-    zero = ib == 0.0
-    f = -1j * (em + zero) / (ib + zero)
-    probe = (2.0 * c * np.exp(0.5 * ib - 0.5j * delta_kL)
-             / (c * one_w + 0.5j * kappa * f))
-    signal = alpha * f / (kappa * f - 2.0j * c * one_w)
+    the caller checks the regime and, as for the exact kernel, that the
+    amplitudes are finite (a huge omega overflows to NaN)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, kappa, beta2, c = _aux(alpha, delta_kL, omega, delta)
+        ib = -np.sqrt(-beta2)      # i*beta for the root with Im(beta) >= 0
+        em = np.expm1(ib)          # w - 1
+        one_w = 2.0 + em           # 1 + w
+        # f = (1 - w)/beta = -i*em/ib; at ib = 0 both get 1 added: f(0) = -i
+        zero = ib == 0.0
+        f = -1j * (em + zero) / (ib + zero)
+        probe = (2.0 * c * np.exp(0.5 * ib - 0.5j * delta_kL)
+                 / (c * one_w + 0.5j * kappa * f))
+        signal = alpha * f / (kappa * f - 2.0j * c * one_w)
     return probe, signal
 
 
@@ -151,6 +155,9 @@ def optimal_delta(m: MediumParams, omega: float) -> OptimalDelta:
     if omega <= 0.0:
         raise DomainError(f"optimal_delta needs omega > 0, got {omega}")
     delta = -m.delta_kL * omega * omega / m.alpha
+    if not math.isfinite(delta):
+        raise DomainError(f"optimal_delta is not finite: delta = {delta} "
+                          f"for omega={omega}, alpha={m.alpha}")
     return OptimalDelta(delta=delta,
                         delta_khz=gamma_to_khz(delta, m.gamma_phys))
 
@@ -164,4 +171,9 @@ def eit_phase_shift(m: MediumParams, omega_c: float, delta: float) -> float:
     """
     if omega_c <= 0.0:
         raise DomainError(f"eit_phase_shift needs omega_c > 0, got {omega_c}")
-    return delta * m.alpha / (omega_c * omega_c)
+    w2 = omega_c * omega_c
+    phi = delta * m.alpha / w2 if w2 > 0.0 else math.inf
+    if not math.isfinite(phi):
+        raise DomainError(f"eit_phase_shift is not finite: phi = {phi} for "
+                          f"omega_c={omega_c}, alpha={m.alpha}")
+    return phi

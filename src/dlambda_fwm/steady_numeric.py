@@ -63,11 +63,13 @@ def _coefficients(*, alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
     """
     d31 = gamma31 / 2.0 - 1j * delta_p
     d41 = gamma41 / 2.0 - 1j * Delta
+    # the drives are real (DriveParams): x*x, which overflows to inf
+    # where a Python float's x**2 raises
     c1 = (1j * delta - gamma21 / 2.0
-          - abs(omega_c) ** 2 / (4.0 * d31)
-          - abs(omega_d) ** 2 / (4.0 * d41))
-    c2 = -np.conj(omega_c) / (4.0 * d31)
-    c3 = -np.conj(omega_d) / (4.0 * d41)
+          - omega_c * omega_c / (4.0 * d31)
+          - omega_d * omega_d / (4.0 * d41))
+    c2 = -omega_c / (4.0 * d31)
+    c3 = -omega_d / (4.0 * d41)
     a_p = -(alpha * gamma31 / 4.0) / d31
     b_p = -(alpha * gamma31 / 4.0) * omega_c / d31
     a_s = -1j * delta_kL + (alpha * gamma41 / 4.0) / d41

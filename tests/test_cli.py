@@ -126,6 +126,11 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, ["steady", "--preset", "fig4a",
                                 "--set", "alpha=abc"])
     assert code == 1 and "malformed" in err
+    # --set items follow the config dialect's rule, so a bare key is refused
+    code, out, err = run(capsys, ["steady", "--preset", "fig4a",
+                                  "--set", "alpha"])
+    assert (code, out) == (1, "")
+    assert err == "usage error: --set: expected 'key = value', got 'alpha'\n"
     assert run(capsys, ["steady", "--preset", "nope"])[0] == 1
     code, _, err = run(capsys, ["sweep", "--preset", "fig4a",
                                 "--grid", "bad"])
@@ -155,6 +160,38 @@ def test_domain_errors_exit_2(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: gamma_phys_mhz = 1e-310 is too small: "
                    "delta_khz = -27.0 overflows in Gamma units\n")
+    # a finite drive whose square overflows (or underflows) is a typed
+    # error, not an OverflowError or a leaked numpy warning
+    for argv in (["steady", "--preset", "fig4b", "--set", "omega_c=1e200"],
+                 ["sweep", "--preset", "fig4b", "--set", "omega_d=1e200"],
+                 ["bandwidth", "--preset", "fig4b", "--set", "omega_c=1e300"],
+                 ["pulse", "--preset", "fig5a", "--set", "omega_c=1e200"],
+                 ["steady", "--preset", "fig4a", "--set", "gamma21=0",
+                  "--set", "omega_c=1e200", "--set", "omega_d=1e200",
+                  "--closed-form"],
+                 ["steady", "--preset", "fig4a", "--set", "gamma21=0",
+                  "--set", "omega_c=1e-200", "--set", "omega_d=1e-200",
+                  "--closed-form"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+    # drives so strong that ce stays above half max over the whole scan
+    code, out, err = run(capsys, ["bandwidth", "--preset", "fig4b",
+                                  "--set", "omega_c=5", "--set", "omega_d=5"])
+    assert (code, out) == (2, "")
+    assert err == ("error: ce never falls below half max within +-2.0 "
+                   "Gamma\n")
+
+
+@pytest.mark.parametrize("override", [
+    ["--set", "omega_c=1e200"],
+    ["--set", "alpha=1e-300", "--set", "omega_c=1e10"],
+])
+def test_optimize_delta_non_finite_exit_2(capsys, override):
+    # delta* = -delta_kL*omega^2/alpha overflows: no -inf on stdout
+    code, out, err = run(capsys, ["optimize-delta", "--preset", "fig4a",
+                                  *override])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: optimal_delta is not finite: delta = -inf")
 
 
 def test_config_file_and_override(tmp_path, capsys):
@@ -178,7 +215,9 @@ def test_config_parse_error_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
     cfg.write_text("alpha = 130\nomega_c = 1.2\nomega_p0 = 1\n")
     code, _, err = run(capsys, ["steady", "--config", str(cfg)])
-    assert (code, err) == (2, "error: line 3: unknown key 'omega_p0'\n")
+    assert (code, err) == (2, "error: line 3: unknown key 'omega_p0' (known: "
+                              + ", ".join(dlambda_fwm.params.CONFIG_KEYS)
+                              + ")\n")
 
 
 def test_config_invariant_error_names_line(tmp_path, capsys):
@@ -263,6 +302,9 @@ def test_pulse_grid_error_exit_2(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--t-start-us", "nan", "t_start must be finite"),
     ("--t-max-us", "inf", "time grid bounds must be finite"),
+    # refused by PulseSpec too, whatever the shape
+    ("--t-max-us", "0", "empty time grid"),
+    ("--ramp-us", "0", "ramp must be > 0"),
 ])
 def test_pulse_non_finite_time_exit_2(capsys, flag, value, message):
     code, out, err = run(capsys, ["pulse", "--preset", "fig5a", flag, value])
@@ -273,6 +315,7 @@ def test_pulse_non_finite_time_exit_2(capsys, flag, value, message):
 @pytest.mark.parametrize("grid, code, message", [
     ("0:10:nan", 1, "usage error: --grid values must be finite"),
     ("0:inf:1", 1, "usage error: --grid values must be finite"),
+    ("0:1:0", 1, "usage error: --grid step must be nonzero"),
     # a STEP that points away from STOP never reaches it
     ("2:0:0.5", 1, "usage error: --grid step must point from START to STOP"),
     ("-50:0:-25", 1, "usage error: --grid step must point from START to "
@@ -345,6 +388,12 @@ def test_bandwidth_preset_anchors_at_optimum(capsys):
     assert "base delta set to grid optimum: -27.9184964 kHz" in err
 
 
+#: a flat-top pulse that sets every pulse flag but --ramp-us
+_FLAT_TOP = ["pulse", "--preset", "fig5a", "--shape", "flat_top",
+             "--duration-us", "20", "--t-start-us", "10", "--t-max-us", "80",
+             "--n-t", "8000"]
+
+
 #: sha256 of stdout for each dataset command: sweeps, pulses, csv and
 #: json-like.  Each was recorded from the release before `omega_p0` was
 #: removed, with its `omega_p0` metadata line deleted: from the command
@@ -377,6 +426,13 @@ _GOLDEN_STDOUT = [
      "753e65f023aedc8ca303016d47f791a20fd491355ff883bc5e44efbd8f285478"),
     (["preset", "fig4b"],
      "e1ff17ee1a2977078173a9416cc6e7102e3600de601f3aea552bce3a01a64ef8"),
+    # the pulse flags the benchmark's pulse ops pass, recorded from the
+    # release before the flags became PulseSpec fields
+    (_FLAT_TOP + ["--ramp-us", "2"],
+     "03ec78a7691b1adaaef8dd2218bb7bf63fc7a5abe06251e372e94bf1932c7ff4"),
+    (["pulse", "--preset", "fig2a", "--duration-us", "10", "--t-start-us",
+      "5", "--t-max-us", "60", "--n-t", "6000"],
+     "ab567375756a38785e511a95214fa0636f595ae597f42522125e59595d33eaa4"),
 ]
 
 
@@ -386,6 +442,13 @@ def test_dataset_stdout_golden(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pulse_ramp_defaults_to_a_tenth_of_duration(capsys):
+    # a left-out --ramp-us is PulseSpec's default, duration/10, not the
+    # preset pulse's ramp
+    assert run(capsys, _FLAT_TOP) == run(capsys,
+                                         [*_FLAT_TOP, "--ramp-us", "2"])
 
 
 def test_bandwidth_config_is_not_anchored_by_preset(tmp_path, capsys):

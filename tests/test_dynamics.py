@@ -53,6 +53,23 @@ def test_pulse_spec_validation():
             PulseSpec(shape="gaussian", duration=1e-6, grid=grid)
 
 
+@pytest.mark.parametrize("grid", [(0.0, 1e-4, math.nan),
+                                  (0.0, 1e-4, math.inf), (0.0, 1e-4),
+                                  ("a", 1, 2)])
+def test_pulse_spec_malformed_grid(grid):
+    with pytest.raises(GridError):
+        PulseSpec(shape="gaussian", duration=1e-6, grid=grid)
+
+
+def test_underflowing_drive_propagates_as_drive_off():
+    # omega_c**2 underflows to 0, so there is no EIT delay to cover
+    m, det = MediumParams(alpha=45.0), DetuningSet()
+    p = PulseSpec("gaussian", 5e-6, t_start=5e-6, grid=(0.0, 40e-6, 4000))
+    off = simulate_pulse(m, DriveParams(omega_c=0.0), det, p)
+    tiny = simulate_pulse(m, DriveParams(omega_c=1e-200), det, p)
+    np.testing.assert_allclose(tiny.probe_out, off.probe_out, rtol=1e-12)
+
+
 def test_pulse_spec_shapes():
     p = PulseSpec(shape="gaussian", duration=30e-6)
     assert p.support_end() == pytest.approx(p.t_start + 60e-6)

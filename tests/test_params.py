@@ -6,7 +6,7 @@ import pytest
 from dlambda_fwm import (ConfigError, DetuningSet, DomainError, DriveParams,
                          MediumParams, SteadyResult, gamma_to_khz,
                          khz_to_gamma, parse_config)
-from dlambda_fwm.params import CONFIG_KEYS, replace_param
+from dlambda_fwm.params import CONFIG_KEYS, parse_pair, replace_param
 
 
 def test_khz_to_gamma_reference_points():
@@ -124,8 +124,26 @@ def test_parse_config_unknown_key():
 def test_parse_config_omega_p0_is_unknown():
     # the probe amplitude is not a parameter of the linear model
     with pytest.raises(ConfigError,
-                       match="^line 2: unknown key 'omega_p0'$"):
+                       match=r"^line 2: unknown key 'omega_p0' \(known: "
+                             r"alpha, .*, Delta_khz\)$"):
         parse_config("alpha = 1\nomega_p0 = 1\nomega_c = 1\n")
+
+
+def test_parse_pair_is_the_line_rule():
+    assert parse_pair(" delta_khz =-27 ") == ("delta_khz", -27.0)
+    assert parse_pair("alpha=nan")[0] == "alpha"      # invariants come later
+    for item, message in [
+            ("alpha", "expected 'key = value', got 'alpha'"),
+            ("bogus = 1", "unknown key 'bogus' (known: "
+                          + ", ".join(CONFIG_KEYS) + ")"),
+            ("alpha = twelve", "malformed number for key 'alpha': 'twelve'")]:
+        with pytest.raises(ConfigError) as exc:
+            parse_pair(item)
+        assert str(exc.value) == message
+        # parse_config reports the same error under the line's number
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"omega_c = 1\n{item}  # comment\n")
+        assert str(exc.value) == "line 2: " + message
 
 
 def test_parse_config_malformed_number():

@@ -178,6 +178,21 @@ def test_optimal_delta_domain_errors():
         optimal_delta(DENSE, 0.0)
 
 
+def test_non_finite_estimates_are_domain_errors():
+    # each formula divides by omega^2 or alpha; a finite input whose
+    # result overflows (or whose omega^2 underflows) is refused
+    with pytest.raises(DomainError, match="optimal_delta is not finite"):
+        optimal_delta(DENSE, 1e200)
+    with pytest.raises(DomainError, match="optimal_delta is not finite"):
+        optimal_delta(MediumParams(alpha=1e-300, delta_kL=0.134 * math.pi),
+                      1e10)
+    for m, omega_c in [(MediumParams(alpha=1e300), 1e-10), (DENSE, 1e-200)]:
+        with pytest.raises(DomainError, match="eit_phase_shift is not finite"):
+            eit_phase_shift(m, omega_c, 1.0)
+    with pytest.raises(DomainError, match="nonzero omega\\^2"):
+        steady_closed_form(MediumParams(alpha=130.0), 1e-200, 0.0)
+
+
 def test_eit_phase_shift_values():
     phi = eit_phase_shift(DENSE, 1.2, -0.0045)
     assert phi == pytest.approx(-0.40625, rel=1e-12)

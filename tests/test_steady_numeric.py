@@ -115,6 +115,14 @@ def test_coupling_matrix_vacuum():
 
 # --- transfer_solve ---------------------------------------------------------
 
+def test_transfer_huge_drive_is_a_domain_error():
+    # omega^2 overflows to inf (a Python float's ** would raise); the
+    # amplitudes are then not finite, which SteadyResult refuses
+    with pytest.raises(DomainError, match="probe_out must be finite"):
+        transfer_solve(DriveParams(omega_c=1e200), DetuningSet(),
+                       MediumParams(alpha=1.0))
+
+
 def test_transfer_vacuum_exact():
     m = MediumParams(alpha=0.0, delta_kL=0.2 * math.pi)
     r = transfer_solve(DriveParams(omega_c=1.0, omega_d=1.0), DetuningSet(), m)
