@@ -24,9 +24,10 @@ from .experiments import (GAUSSIAN_30US, MAX_SWEEP_POINTS, PRESET_NAMES,
                           SWEEP_VARIABLES, SweepSpec, bandwidth_fwhm,
                           figure_preset, find_peak, fmt, pulse_csv,
                           render_values, run_sweep, sweep_csv)
-from .params import khz_to_gamma, metadata_echo, parse_config, parse_pair
-from .steady_analytic import optimal_delta, regime_error, steady_closed_form
-from .steady_numeric import transfer_solve
+from .params import (SteadyResult, khz_to_gamma, metadata_echo, parse_config,
+                     parse_pair)
+from .steady_analytic import optimal_delta, regime_error
+from .steady_numeric import solve_grid
 from .validation import run_all
 
 
@@ -135,22 +136,15 @@ def _emit(args, text_data: str):
 
 def _cmd_steady(args) -> int:
     (m, d, det), _ = _load_bundle(args)
-    regime = regime_error(m, d.omega_c, d.omega_d, det.delta_p, det.Delta)
-    if args.solver == "closed_form":
-        if regime is not None:
-            raise regime
-        r = steady_closed_form(m, d.omega_c, det.delta)
-    else:
-        r = transfer_solve(d, det, m)
-    values = {
-        "transmittance": r.transmittance,
-        "ce": r.ce,
-        "loss": r.loss,
-    }
+    closed_form = args.solver == "closed_form"
+    r = SteadyResult(*map(complex, solve_grid(m, d, det,
+                                              closed_form=closed_form)))
+    values = {"transmittance": r.transmittance, "ce": r.ce, "loss": r.loss}
     # report the closed-form/exact gap whenever the point is in regime
-    if args.solver == "exact" and regime is None:
-        cf = steady_closed_form(m, d.omega_c, det.delta)
-        values["closed_form_ce_discrepancy"] = abs(cf.ce - r.ce)
+    if not closed_form and regime_error(m, d.omega_c, d.omega_d,
+                                        det.delta_p, det.Delta) is None:
+        cf = complex(solve_grid(m, d, det, closed_form=True)[1])
+        values["closed_form_ce_discrepancy"] = abs(abs(cf) ** 2 - r.ce)
     _emit(args, render_values(values, args.format))
     return 0
 

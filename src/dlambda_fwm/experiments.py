@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError, GridError, ScanRangeError, located
+from .errors import DomainError, GridError, ScanRangeError
 from .params import (DetuningSet, DriveParams, MediumParams, TWO_PI,
-                     khz_to_gamma, metadata_echo, replace_param)
-from .steady_analytic import _amplitudes, _require_regime
-from .steady_numeric import _checked, solve_grid
+                     khz_to_gamma, metadata_echo)
+from .steady_numeric import solve_grid
 from .dynamics import MAX_N_T, PulseSpec
 
 #: each sweep variable and the unit of its grid: detunings scan in kHz,
@@ -108,23 +107,9 @@ class FigurePreset:
 def run_sweep(s: SweepSpec) -> SweepResult:
     unit = SWEEP_VARIABLES[s.variable]
     g = khz_to_gamma(s.grid, s.medium.gamma_phys) if unit == "kHz" else s.grid
-    bundle, at = (s.medium, s.drive, s.detuning), {s.variable: s.grid}
-    if s.solver == "exact":
-        probe, signal = solve_grid(*bundle, at, **{s.variable: g})
-    else:
-        # each variable's valid values, and the closed form's regime, form
-        # an interval and the grid is monotonic, so its two ends stand for
-        # every point
-        for i in (0, -1):
-            with located({s.variable: s.grid[i]}):
-                m, d, det = replace_param(bundle, s.variable, float(g[i]))
-                _require_regime(m, d.omega_c, d.omega_d, det.delta_p,
-                                det.Delta)
-        # in regime, an omega_d or delta_p grid is the point omega_c or 0
-        p = {"alpha": s.medium.alpha, "delta": s.detuning.delta,
-             s.variable: g}
-        probe, signal = _checked(at, *_amplitudes(
-            p["alpha"], s.medium.delta_kL, s.drive.omega_c, p["delta"]))
+    probe, signal = solve_grid(
+        s.medium, s.drive, s.detuning, {s.variable: s.grid},
+        closed_form=s.solver == "closed_form", **{s.variable: g})
     t, ce = abs(probe) ** 2, abs(signal) ** 2
     meta = metadata_echo(s.medium, s.drive, s.detuning)
     meta["solver"] = s.solver

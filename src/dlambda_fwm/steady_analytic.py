@@ -35,6 +35,7 @@ at dkL = delta = 0 (phase-matched and resonant) is an ordinary point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -132,9 +133,14 @@ def closed_form_aux(m: MediumParams, omega: float,
                     delta: float) -> ClosedFormAux:
     """Auxiliary quantities kappa, beta, q, xi (beta the principal root)."""
     _require_regime(m, omega, omega)
-    xi, kappa, beta2, c = _aux(m.alpha, m.delta_kL, omega, delta)
-    beta = complex(np.sqrt(beta2))
-    return ClosedFormAux(kappa=kappa, beta=beta, q=c * beta, xi=xi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi, kappa, beta2, c = _aux(m.alpha, m.delta_kL, omega, delta)
+        beta = complex(np.sqrt(beta2))
+    aux = ClosedFormAux(kappa=kappa, beta=beta, q=c * beta, xi=xi)
+    if not all(map(cmath.isfinite, (kappa, beta, aux.q, xi))):
+        raise DomainError(f"closed form is not finite at omega={omega}, "
+                          f"delta={delta}, alpha={m.alpha}")
+    return aux
 
 
 def steady_closed_form(m: MediumParams, omega: float,
@@ -154,7 +160,8 @@ def optimal_delta(m: MediumParams, omega: float) -> OptimalDelta:
         raise DomainError(f"optimal_delta needs alpha > 0, got {m.alpha}")
     if omega <= 0.0:
         raise DomainError(f"optimal_delta needs omega > 0, got {omega}")
-    delta = -m.delta_kL * omega * omega / m.alpha
+    # 0.0 - x, not -x: no negative zero at delta_kL = 0
+    delta = (0.0 - m.delta_kL * omega * omega) / m.alpha
     if not math.isfinite(delta):
         raise DomainError(f"optimal_delta is not finite: delta = {delta} "
                           f"for omega={omega}, alpha={m.alpha}")

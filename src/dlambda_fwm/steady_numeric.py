@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundarySolveError, located
+from .errors import BoundarySolveError, DomainError, located
 from .params import (PASSIVITY_SLACK, DetuningSet, DriveParams, MediumParams,
                      SteadyResult, replace_param)
+from .steady_analytic import _amplitudes, _require_regime
 
 #: log of the smallest |T[1,1]| the boundary solve accepts
 LOG_T11_MIN = math.log(1e-14)
@@ -147,54 +148,81 @@ def _checked(at: dict, probe, signal, log_t11=0.0) -> tuple:
     return probe, signal
 
 
-def _check_axes(bundle: tuple, at: dict, axes: dict) -> None:
-    """Put each axis's smallest and largest value through the invariants
-    of (m, d, det).  Every invariant is an interval and argmin/argmax stop
-    at a NaN, so the points that hold an axis's extremes stand for all of
-    its values; the first of them in grid order that fails raises,
-    located on ``at`` as in _checked."""
+def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
+    """Put each axis's extremes through the invariants of (m, d, det) and,
+    with closed_form, the closed form's regime.  Each condition but drive
+    balance is an interval in one parameter and argmin/argmax stop at a
+    NaN, so the extremes stand for every value; the first unbalanced point
+    joins them, and with no axes the base point is checked.  The first of
+    these points in grid order that fails raises, located as in _checked."""
     grid = np.broadcast_arrays(*axes.values(), *at.values())
-    ends = {int(f(v)) for v in grid[:len(axes)] if v.size
-            for f in (np.argmin, np.argmax)}
+    shape = grid[0].shape if grid else ()
+    ends = {int(f(v)) for v in grid[:len(axes)] or [np.zeros(shape)]
+            if v.size for f in (np.argmin, np.argmax)}
+    if closed_form:
+        on = _point(*bundle) | dict(zip(axes, grid))
+        unbalanced = np.broadcast_to(on["omega_c"] != on["omega_d"], shape)
+        ends.update(np.flatnonzero(unbalanced)[:1].tolist())
     for i in sorted(ends):
-        i = np.unravel_index(i, grid[0].shape)
+        i = np.unravel_index(i, shape)
         with located({name: v[i] for name, v in zip(at, grid[len(axes):])}):
             point = bundle
             for name, v in zip(axes, grid):
                 point = replace_param(point, name, float(v[i]))
+            if closed_form:
+                m, d, det = point
+                _require_regime(m, d.omega_c, d.omega_d, det.delta_p,
+                                det.Delta)
 
 
 def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
-               at: dict | None = None, **axes) -> tuple:
-    """Exact (probe_out, signal_out) amplitudes on a parameter grid.
+               at: dict | None = None, *, closed_form=False, **axes) -> tuple:
+    """(probe_out, signal_out) amplitudes on a parameter grid: exact, or
+    steady_analytic's closed form with closed_form.
 
     Each keyword (alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
     omega_d, delta, delta_p or Delta; any other is a TypeError) replaces
     that value of (m, d, det) with an array, and the arrays broadcast to a
     grid of any shape.  Every axis keeps the invariants of the parameter
-    it replaces and every point gets transfer_solve's checks; the first
-    point that fails raises its error prefixed ``at name=value, ...:``
-    over the arrays of ``at``: the axes by default, or e.g. a grid in user
-    units.
+    it replaces (and the closed form's regime, with closed_form), every
+    point transfer_solve's checks; the first point that fails raises its
+    error prefixed ``at name=value, ...:`` over the arrays of ``at``: the
+    axes by default, or e.g. a grid in user units.
     """
     at = axes if at is None else at
-    _check_axes((m, d, det), at, axes)
+    _check_axes((m, d, det), at, axes, closed_form)
     p = _point(m, d, det)
     p.update(axes)
+    if closed_form:
+        # in regime omega_d = omega_c and the other parameters are fixed
+        return _checked(at, *_amplitudes(p["alpha"], p["delta_kL"],
+                                         p["omega_c"], p["delta"]))
     return _checked(at, *_transfer(p))
+
+
+def _finite(what: str, values, m: MediumParams,
+            d: DriveParams) -> np.ndarray:
+    """``values`` as a complex array, or DomainError if one overflowed to
+    inf or NaN (a drive too large to square, say)."""
+    values = np.asarray(values, dtype=complex)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} is not finite at alpha={m.alpha}, "
+                          f"omega_c={d.omega_c}, omega_d={d.omega_d}")
+    return values
 
 
 def linear_response(d: DriveParams, det: DetuningSet,
                     m: MediumParams) -> CoherenceResponse:
     """Pairwise linear-response coefficients of (rho21, rho31, rho41)."""
-    d31, d41, g_p, g_s, _ = _eliminate(_point(m, d, det))
-    r31, r41 = 0.5j / d31, 0.5j / d41
-    return CoherenceResponse(
-        rho21=(complex(g_p), complex(g_s)),
-        rho31=(complex(r31 * (1.0 + d.omega_c * g_p)),
-               complex(r31 * d.omega_c * g_s)),
-        rho41=(complex(r41 * d.omega_d * g_p),
-               complex(r41 * (1.0 + d.omega_d * g_s))))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d31, d41, g_p, g_s, _ = _eliminate(_point(m, d, det))
+        r31, r41 = 0.5j / d31, 0.5j / d41
+        c = _finite("linear response", (
+            g_p, g_s, r31 * (1.0 + d.omega_c * g_p), r31 * d.omega_c * g_s,
+            r41 * d.omega_d * g_p, r41 * (1.0 + d.omega_d * g_s)), m, d)
+    c = c.tolist()
+    return CoherenceResponse(rho21=tuple(c[0:2]), rho31=tuple(c[2:4]),
+                             rho41=tuple(c[4:6]))
 
 
 def steady_coherences(omega_p: complex, omega_s: complex, d: DriveParams,
@@ -215,8 +243,9 @@ def coupling_matrix(d: DriveParams, det: DetuningSet,
     propagation is already folded into the signs: a lossy signal
     transition appears as gain along +z.
     """
-    entries = _eliminate(_point(m, d, det))[4]
-    return np.array(entries, dtype=complex).reshape(2, 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        entries = _eliminate(_point(m, d, det))[4]
+    return _finite("coupling matrix", entries, m, d).reshape(2, 2)
 
 
 def transfer_solve(d: DriveParams, det: DetuningSet,

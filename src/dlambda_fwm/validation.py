@@ -19,7 +19,7 @@ from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
 from .errors import FwmError
 from .experiments import bandwidth_fwhm, figure_preset, find_peak, run_sweep
 from .params import (DetuningSet, DriveParams, MediumParams, khz_to_gamma)
-from .steady_analytic import _amplitudes, eit_phase_shift, optimal_delta
+from .steady_analytic import eit_phase_shift, optimal_delta
 from .steady_numeric import solve_grid, transfer_solve
 
 EQUIVALENCE_SEED = 42
@@ -47,11 +47,15 @@ def check_oracle_equivalence() -> CheckResult:
     """Closed form vs exact solver on a pseudo-random regime grid."""
     t0 = time.perf_counter()
     alpha, omega, dkl, delta = equivalence_points().T
-    probe, signal = _amplitudes(alpha, dkl, omega, delta)
     # gamma21 = delta_p = Delta = 0 and gamma31 = gamma41 = 1 by default
-    oracle_probe, oracle_signal = solve_grid(
-        MediumParams(alpha=0.0), DriveParams(omega_c=0.0), DetuningSet(),
-        alpha=alpha, delta_kL=dkl, omega_c=omega, omega_d=omega, delta=delta)
+    base = (MediumParams(alpha=0.0), DriveParams(omega_c=0.0), DetuningSet())
+    axes = dict(alpha=alpha, delta_kL=dkl, omega_c=omega, omega_d=omega,
+                delta=delta)
+    try:
+        probe, signal = solve_grid(*base, closed_form=True, **axes)
+        oracle_probe, oracle_signal = solve_grid(*base, **axes)
+    except FwmError as exc:
+        return CheckResult(1, "oracle-equivalence", False, str(exc))
     ce, oracle_ce = abs(signal) ** 2, abs(oracle_signal) ** 2
     worst = float(np.max(np.maximum(
         abs(ce - oracle_ce) / np.maximum(oracle_ce, 1e-30),

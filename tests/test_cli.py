@@ -111,6 +111,12 @@ def test_optimize_delta(capsys):
         "delta_star_gamma = -0.00466309014",
         "delta_star_khz = -27.9785409",
     ]
+    # phase matched, delta* is zero: printed without a sign
+    base = ["optimize-delta", "--preset", "fig4a", "--set", "delta_kL_pi=0"]
+    assert run(capsys, base) == (0, "delta_star_gamma = 0\n"
+                                    "delta_star_khz = 0\n", "")
+    code, out, _ = run(capsys, [*base, "--format", "json-like"])
+    assert code == 0 and "-0" not in out
 
 
 def test_usage_errors(capsys):
@@ -433,6 +439,19 @@ _GOLDEN_STDOUT = [
     (["pulse", "--preset", "fig2a", "--duration-us", "10", "--t-start-us",
       "5", "--t-max-us", "60", "--n-t", "6000"],
      "ab567375756a38785e511a95214fa0636f595ae597f42522125e59595d33eaa4"),
+    # the closed-form paths, recorded from the release before closed-form
+    # grids went through solve_grid
+    (["sweep", "--preset", "fig4b", "--set", "gamma21=0", "--closed-form",
+      "--variable", "alpha", "--grid=1:300:0.5"],
+     "02ec6a60dec8b74df2cc176ce893cc40d9fca231aedc7cfe82a905f486c6c7f0"),
+    (["sweep", "--preset", "fig3b", "--set", "gamma21=0", "--closed-form",
+      "--format", "json-like"],
+     "9a05dd8c683085ccc04c7ba73b711ff0fa75ee6a8542423a364bc915fb922ac1"),
+    (["steady", "--preset", "fig4a", "--set", "gamma21=0", "--closed-form"],
+     "8b2726f7b5f96c061011fb5c15b985056386fe6d9b2e47ea64bcde95de21f812"),
+    (["steady", "--preset", "fig4a", "--set", "gamma21=0", "--closed-form",
+      "--format", "json-like"],
+     "51c3ed60e13a9f64ff46fcf9f771badec54ebee1189c76b5b542c742b39d6e2a"),
 ]
 
 

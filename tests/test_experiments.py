@@ -10,7 +10,7 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
                          SweepResult, SweepSpec, bandwidth_fwhm,
                          figure_preset, find_peak, khz_to_gamma,
                          optimal_delta, run_sweep, sweep_csv, transfer_solve)
-from dlambda_fwm import experiments
+from dlambda_fwm import experiments, steady_numeric
 from dlambda_fwm.experiments import (PRESET_NAMES, SWEEP_VARIABLES,
                                      metadata_echo, pulse_csv)
 from dlambda_fwm.params import replace_param
@@ -122,7 +122,7 @@ def test_sweep_closed_form_out_of_regime_names_grid_point(monkeypatch):
     spec = replace(spec, medium=replace(pre.medium, gamma21=0.0),
                    grid=np.array([-200.0, -100.0, 0.0]))
     for bad, error in ((2.0, "passivity violated"), (np.nan, "finite")):
-        monkeypatch.setattr(experiments, "_amplitudes",
+        monkeypatch.setattr(steady_numeric, "_amplitudes",
                             lambda *args: (np.array([0.5, bad, 0.5]), 0.0))
         with pytest.raises(DomainError, match=f"at delta=-100: .*{error}"):
             run_sweep(spec)

@@ -193,6 +193,19 @@ def test_non_finite_estimates_are_domain_errors():
         steady_closed_form(MediumParams(alpha=130.0), 1e-200, 0.0)
 
 
+def test_closed_form_aux_huge_drive_is_a_domain_error():
+    # omega^2 overflows to inf and beta to NaN: refused, not returned
+    with pytest.raises(DomainError, match="^closed form is not finite"):
+        closed_form_aux(MediumParams(alpha=1.0), 1e200, 0.0)
+
+
+def test_optimal_delta_phase_matched_is_positive_zero():
+    # delta_kL = 0 gives delta* = +0.0, which prints as 0, not -0
+    r = optimal_delta(MediumParams(alpha=130.0), 1.2)
+    assert math.copysign(1.0, r.delta) == 1.0
+    assert math.copysign(1.0, r.delta_khz) == 1.0
+
+
 def test_eit_phase_shift_values():
     phi = eit_phase_shift(DENSE, 1.2, -0.0045)
     assert phi == pytest.approx(-0.40625, rel=1e-12)

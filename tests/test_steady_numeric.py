@@ -1,14 +1,16 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
-                         coupling_matrix, linear_response, solve_grid,
-                         steady_coherences, steady_numeric, transfer_solve,
-                         validation)
+                         RegimeError, coupling_matrix, linear_response,
+                         solve_grid, steady_closed_form, steady_coherences,
+                         steady_numeric, transfer_solve, validation)
 
 
 def _bloch_residual(m, d, det, omega_p, omega_s, rho):
@@ -121,6 +123,18 @@ def test_transfer_huge_drive_is_a_domain_error():
     with pytest.raises(DomainError, match="probe_out must be finite"):
         transfer_solve(DriveParams(omega_c=1e200), DetuningSet(),
                        MediumParams(alpha=1.0))
+
+
+def test_coherence_response_huge_drive_is_a_domain_error():
+    # omega^2 overflows to inf and the elimination to NaN: refused, not
+    # returned (a leaked RuntimeWarning would fail the suite)
+    m, d = MediumParams(alpha=1.0), DriveParams(omega_c=1e200, omega_d=1e200)
+    with pytest.raises(DomainError, match="^linear response is not finite"):
+        linear_response(d, DetuningSet(), m)
+    with pytest.raises(DomainError, match="^linear response is not finite"):
+        steady_coherences(1.0, 0.5, d, DetuningSet(), m)
+    with pytest.raises(DomainError, match="^coupling matrix is not finite"):
+        coupling_matrix(d, DetuningSet(), m)
 
 
 def test_transfer_vacuum_exact():
@@ -268,3 +282,73 @@ def test_passivity_check_fails_on_a_rejected_point(monkeypatch):
     assert not r.passed
     assert r.detail.startswith("at alpha=")
     assert "boundary solve singular" in r.detail
+
+
+# --- solve_grid with the closed form ------------------------------------------
+
+def test_solve_grid_closed_form_matches_scalar_closed_form():
+    m = MediumParams(alpha=130.0, delta_kL=0.134 * math.pi)
+    omega = np.linspace(0.6, 1.8, 4)[:, None]
+    delta = np.linspace(-0.01, 0.005, 5)
+    probe, signal = solve_grid(m, DriveParams(1.2, 1.2), DetuningSet(),
+                               closed_form=True, omega_c=omega,
+                               omega_d=omega, delta=delta)
+    assert probe.shape == signal.shape == (4, 5)
+    for i, j in np.ndindex(probe.shape):
+        r = steady_closed_form(m, omega[i, 0], delta[j])
+        assert probe[i, j] == pytest.approx(r.probe_out, rel=1e-14)
+        assert signal[i, j] == pytest.approx(r.signal_out, rel=1e-14)
+
+
+def test_solve_grid_closed_form_checks_balance_at_every_point():
+    # balance couples two axes, so the axes' extremes (balanced here) do
+    # not stand for the middle point, where the closed form would give
+    # ce 0.883 against the exact 0.639
+    m = MediumParams(alpha=130.0, delta_kL=0.4)
+    base = (m, DriveParams(1.0, 1.0), DetuningSet(delta=-0.004))
+    axes = dict(omega_c=np.array([1.0, 2.0, 3.0]),
+                omega_d=np.array([1.0, 2.5, 3.0]))
+    assert abs(solve_grid(*base, **axes)[1][1]) ** 2 == \
+        pytest.approx(0.639, abs=1e-3)
+    with pytest.raises(RegimeError, match=r"^at omega_c=2, omega_d=2\.5: "
+                       "closed form needs balanced drives"):
+        solve_grid(*base, closed_form=True, **axes)
+
+
+def test_solve_grid_closed_form_without_axes_adds_no_location():
+    # with no axes the regime is checked at the base point, unlocated
+    with pytest.raises(RegimeError, match="^closed form needs one- and "
+                       "three-photon resonance"):
+        solve_grid(*DENSE, closed_form=True)
+    with pytest.raises(RegimeError, match="^closed form assumes gamma21 = 0"):
+        solve_grid(DENSE[0], DENSE[1], DetuningSet(), closed_form=True)
+    # a grid of no points has no point to check
+    probe, signal = solve_grid(*DENSE, {"x": np.array([])}, closed_form=True)
+    assert probe.shape == signal.shape == (0,)
+
+
+def test_equivalence_check_fails_on_a_rejected_point(monkeypatch):
+    # check 1 solves both grids through solve_grid; an error fails the
+    # check and is named in its detail, as in check 8
+    monkeypatch.setattr(steady_numeric, "LOG_T11_MIN", 1.0)
+    r = validation.check_oracle_equivalence()
+    assert not r.passed
+    assert r.detail.startswith("at alpha=")
+    assert "boundary solve singular" in r.detail
+
+
+# --- module boundary -----------------------------------------------------------
+
+def test_private_kernels_are_reached_only_through_steady_numeric():
+    # every grid goes through solve_grid: steady_analytic's private kernel
+    # is imported only by steady_numeric, and steady_numeric's by no one
+    package = Path(__file__).resolve().parents[1] / "src" / "dlambda_fwm"
+    importers = {"steady_analytic": set(), "steady_numeric": set()}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and any(a.name.startswith("_") for a in node.names)):
+                source = node.module.rsplit(".", 1)[-1]
+                importers.get(source, set()).add(path.stem)
+    assert importers == {"steady_analytic": {"steady_numeric"},
+                         "steady_numeric": set()}
