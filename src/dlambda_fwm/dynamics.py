@@ -70,8 +70,8 @@ class PulseSpec:
     shape, or the hold time for flat_top.  The gaussian is centered at
     t_start + duration; the flat_top ramps up from t_start over `ramp`
     seconds (default duration/10), holds, and ramps down.  grid is
-    (t_min, t_max, n_t): n_t uniform steps (100 <= n_t <= MAX_N_T), n_t + 1
-    samples.
+    (t_min, t_max, n_t): n_t uniform steps (an integer, 100 <= n_t <=
+    MAX_N_T), n_t + 1 samples.
     """
 
     shape: str
@@ -94,7 +94,8 @@ class PulseSpec:
         try:
             t_min, t_max, n_t = self.grid
             finite = math.isfinite(t_min) and math.isfinite(t_max)
-            n_t_ok = 100 <= n_t <= MAX_N_T      # False for a NaN
+            # False for a NaN or a fractional n_t
+            n_t_ok = 100 <= n_t <= MAX_N_T and n_t % 1 == 0
         except (TypeError, ValueError):
             raise GridError("grid must be three numbers (t_min, t_max, n_t), "
                             f"got {self.grid!r}") from None
@@ -104,7 +105,8 @@ class PulseSpec:
         if not (t_max > t_min):
             raise GridError(f"empty time grid ({t_min}, {t_max})")
         if not n_t_ok:
-            raise GridError(f"n_t must be in [100, {MAX_N_T}], got {n_t}")
+            raise GridError(f"n_t must be an integer in [100, {MAX_N_T}], "
+                            f"got {n_t}")
 
     def support_end(self) -> float:
         if self.shape == "gaussian":

@@ -112,8 +112,11 @@ class SteadyResult:
     """Steady-state field amplitudes at the medium boundaries.
 
     probe_out is the transmitted-probe amplitude ratio Omega_p(L)/Omega_p0,
-    signal_out the generated backward-signal ratio Omega_s(0)/Omega_p0.
-    Intensity ratios (transmittance, ce) and the remainder (loss) follow.
+    signal_out the generated backward-signal amplitude in photon-number
+    units, sqrt(gamma31/gamma41) * Omega_s(0)/Omega_p0: at equal optical
+    depth the two dipoles differ by that factor, and it is 1 when
+    gamma31 = gamma41.  Photon-number ratios (transmittance, ce) and the
+    remainder (loss) follow.
     """
 
     probe_out: complex

@@ -6,9 +6,13 @@ optical coherences (Schur complement of the 3x3 coherence system) leaves
 rho21 = -(c2*Op + c3*Os)/c1 and the field equations d/dz (Op, Os) =
 M (Op, Os), a 2-point boundary value problem with Op(0) = Op0 and
 Os(L) = 0 (the signal builds up backwards), solved in a ratio form that
-needs no matrix exponential.  One array kernel does both; the scalar
-functions wrap it, and solve_grid evaluates it on a parameter grid for
-sweeps, the bandwidth scan and the pulse propagator.
+needs no matrix exponential.  One array kernel does both, with no branch
+and no np.where: its two singular points (c1 = 0, s = 0) are masked with
+arithmetic, so a scalar call costs what its arithmetic costs.  The
+scalar functions wrap it, and solve_grid evaluates it on a parameter grid
+for sweeps, the bandwidth scan and the pulse propagator.  The signal it
+returns is a photon-number amplitude: CE = |signal_out|^2 counts signal
+photons per probe photon, also when gamma31 != gamma41.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from .steady_analytic import _amplitudes, _require_regime
 
 #: log of the smallest |T[1,1]| the boundary solve accepts
 LOG_T11_MIN = math.log(1e-14)
-#: below this |s|, tanh(s)/s is taken from its series
-TANHC_SERIES = 1e-4
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,9 @@ def _eliminate(p: dict) -> tuple:
     off (and gamma21 = delta = 0), where c2 = c3 = 0 and rho21 = 0.
     """
     d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**p)
-    c1 = np.where(c1 == 0, 1.0, c1)
+    # np.add, not +: a Python-complex c1 would keep the scalar path in
+    # Python arithmetic, one rounding away from the grid's
+    c1 = np.add(c1, c1 == 0)
     g_p, g_s = -c2 / c1, -c3 / c1
     return d31, d41, g_p, g_s, (a_p + b_p * g_p, b_p * g_s,
                                 b_s * g_p, a_s + b_s * g_s)
@@ -99,27 +103,34 @@ def _transfer(p: dict) -> tuple:
     (Re s >= 0), T = e^mu (cosh(s) I + sinh(s)/s N), so the boundary
     conditions give
 
-        signal_out = -T[1,0]/T[1,1] = -th*M[1,0] / den
+        Os(0)/Op0  = -T[1,0]/T[1,1] = -th*M[1,0] / den
         probe_out  = det(T)/T[1,1]  = 2 e^(mu-s) / ((1 + e^(-2s)) den)
 
     with th = tanh(s)/s and den = 1 + th*N[1,1].  No intermediate grows
-    like e^|s|, however thick the medium.
+    like e^|s|, however thick the medium.  th is the direct quotient,
+    which stays accurate to the last bits as s -> 0 (checked against
+    scipy's expm); only s = 0 itself is masked, to th = 1.
+
+    Equal optical depth makes the dipoles differ, |d41/d31|^2 =
+    gamma41/gamma31, so the photon-number amplitude is signal_out =
+    sqrt(gamma31/gamma41) * Os(0)/Op0 (the factor is exactly 1 at
+    gamma31 = gamma41); then T + CE <= 1 for any decay rates.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m00, m01, m10, m11 = _eliminate(p)[4]
         mu = 0.5 * (m00 + m11)
         n11 = 0.5 * (m11 - m00)
         s = np.sqrt(n11 * n11 + m01 * m10)      # principal root: Re s >= 0
-        small = abs(s) < TANHC_SERIES
-        th = np.where(small, 1.0 - s * s / 3.0,
-                      np.tanh(s) / np.where(small, 1.0, s))
+        # th(0) = 1: at s = 0 both get 1 added
+        zero = s == 0.0
+        th = (np.tanh(s) + zero) / (s + zero)
         den = 1.0 + th * n11
-        e2 = np.exp(-2.0 * s)
-        signal = -th * m10 / den
-        probe = 2.0 * np.exp(mu - s) / ((1.0 + e2) * den)
+        q = (1.0 + np.exp(-2.0 * s)) * den      # 2 e^(-s) cosh(s) den
+        # sign and photon-number factor meet as scalars, before th
+        signal = -(p["gamma31"] / p["gamma41"]) ** 0.5 * th * m10 / den
+        probe = 2.0 * np.exp(mu - s) / q
         # log|T11| = Re mu + log|cosh s| + log|den|
-        log_t11 = (mu.real + s.real + np.log(abs(1.0 + e2)) - math.log(2.0)
-                   + np.log(abs(den)))
+        log_t11 = mu.real + s.real - math.log(2.0) + np.log(abs(q))
     return probe, signal, log_t11
 
 
@@ -252,9 +263,10 @@ def transfer_solve(d: DriveParams, det: DetuningSet,
                    m: MediumParams) -> SteadyResult:
     """Solve the steady boundary-value problem exactly.
 
-    With T = exp(M*L): signal_out = Omega_s(0)/Omega_p0 = -T[1,0]/T[1,1]
-    and probe_out = Omega_p(L)/Omega_p0 = det(T)/T[1,1], evaluated in the
-    kernel's ratio form.  Raises BoundarySolveError when |T[1,1]| < 1e-14
+    With T = exp(M*L): Omega_s(0)/Omega_p0 = -T[1,0]/T[1,1] (signal_out
+    is that times sqrt(gamma31/gamma41), see SteadyResult) and probe_out =
+    Omega_p(L)/Omega_p0 = det(T)/T[1,1], evaluated in the kernel's ratio
+    form.  Raises BoundarySolveError when |T[1,1]| < 1e-14
     (perfect-reflection resonance).
     """
     return _result(*_transfer(_point(m, d, det)))

@@ -39,6 +39,20 @@ def test_steady_json_like(capsys):
     assert data["ce"] == pytest.approx(0.921608856)
 
 
+def test_steady_unequal_decay_rates_are_passive(capsys):
+    # CE is a photon-number ratio: at gamma31 = 0.01 the signal dipole is
+    # ten times weaker than the probe's, and the Rabi ratio alone would
+    # give T + CE = 1.979
+    code, out, _ = run(capsys, ["steady", "--preset", "fig4a",
+                                "--set", "gamma31=0.01"])
+    assert code == 0
+    assert out.splitlines() == [
+        "transmittance = 0.979423527",
+        "ce = 0.00999936692",
+        "loss = 0.0105771065",
+    ]
+
+
 def test_steady_reports_closed_form_gap_in_regime(capsys):
     code, out, _ = run(capsys, ["steady", "--preset", "fig4a",
                                 "--set", "gamma21=0"])

@@ -55,7 +55,7 @@ def test_pulse_spec_validation():
 
 @pytest.mark.parametrize("grid", [(0.0, 1e-4, math.nan),
                                   (0.0, 1e-4, math.inf), (0.0, 1e-4),
-                                  ("a", 1, 2)])
+                                  ("a", 1, 2), (0.0, 2e-5, 1000.9)])
 def test_pulse_spec_malformed_grid(grid):
     with pytest.raises(GridError):
         PulseSpec(shape="gaussian", duration=1e-6, grid=grid)

@@ -142,9 +142,11 @@ def test_transfer_vacuum_exact():
     r = transfer_solve(DriveParams(omega_c=1.0, omega_d=1.0), DetuningSet(), m)
     assert r.transmittance == pytest.approx(1.0, abs=1e-14)
     assert r.ce == 0.0
-    # matched vacuum (M = 0) and a thin absorber take the tanh(s)/s series
+    # matched vacuum: M = 0, so s = 0 and tanh(s)/s takes its limit 1 from
+    # the kernel's zero mask, exactly; a thin absorber takes the quotient
     r = transfer_solve(DriveParams(omega_c=1.0, omega_d=1.0), DetuningSet(),
                        MediumParams(alpha=0.0))
+    assert (r.probe_out, r.signal_out) == (1.0, 0.0)
     assert (r.transmittance, r.ce) == (1.0, 0.0)
     r = transfer_solve(DriveParams(omega_c=0.0), DetuningSet(),
                        MediumParams(alpha=1e-6))
@@ -197,6 +199,33 @@ def test_transfer_matches_scipy_expm():
         assert abs(r.probe_out - probe) <= 1e-9 * abs(probe)
 
 
+def test_transfer_small_s_matches_scipy_expm():
+    # thin, nearly matched media put s = sqrt(-det N) near 0, where
+    # tanh(s)/s is the direct quotient; expm has no such branch
+    rng = np.random.default_rng(20261019)
+    small = 0
+    for k in range(200):
+        on = k % 2 == 0                  # drives on, then off
+        m = MediumParams(
+            alpha=float(math.exp(rng.uniform(math.log(1e-9), math.log(0.1)))),
+            gamma21=float(rng.uniform(0, 1e-2)),
+            delta_kL=float(rng.uniform(-1e-4, 1e-4)))
+        d = DriveParams(omega_c=on * float(rng.uniform(0.05, 3.0)),
+                        omega_d=on * float(rng.uniform(0.0, 3.0)))
+        det = DetuningSet(delta=float(rng.uniform(-0.05, 0.05)),
+                          delta_p=float(rng.uniform(-2, 2)),
+                          Delta=float(rng.uniform(-2, 2)))
+        mat = coupling_matrix(d, det, m)
+        n11 = 0.5 * (mat[1, 1] - mat[0, 0])
+        small += abs(np.sqrt(n11 * n11 + mat[0, 1] * mat[1, 0])) < 1e-4
+        t = scipy.linalg.expm(mat)
+        r = transfer_solve(d, det, m)
+        signal, probe = -t[1, 0] / t[1, 1], np.exp(np.trace(mat)) / t[1, 1]
+        assert abs(r.signal_out - signal) <= 1e-13 * abs(signal)
+        assert abs(r.probe_out - probe) <= 1e-13 * abs(probe)
+    assert small > 100
+
+
 def test_transfer_passivity_random():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -210,6 +239,32 @@ def test_transfer_passivity_random():
                           Delta=float(rng.uniform(-0.5, 0.5)))
         r = transfer_solve(d, det, m)
         assert r.transmittance + r.ce <= 1.0 + 1e-9
+
+
+def test_transfer_passivity_unequal_decay_rates():
+    # with gamma31 != gamma41 the probe and signal dipoles differ, and CE
+    # counts photons: T + CE <= 1 for any pair of decay rates
+    rng = np.random.default_rng(15)
+    n = 20000
+    axes = dict(alpha=np.exp(rng.uniform(math.log(0.1), math.log(400), n)),
+                gamma21=rng.uniform(0, 1e-2, n),
+                gamma31=np.exp(rng.uniform(-5, 2, n)),
+                gamma41=np.exp(rng.uniform(-5, 2, n)),
+                delta_kL=rng.uniform(-math.pi, math.pi, n),
+                omega_c=rng.uniform(0, 3, n), omega_d=rng.uniform(0, 3, n),
+                delta=rng.uniform(-0.05, 0.05, n),
+                delta_p=rng.uniform(-2, 2, n), Delta=rng.uniform(-2, 2, n))
+    probe, signal = solve_grid(MediumParams(alpha=1.0),
+                               DriveParams(omega_c=1.0), DetuningSet(),
+                               **axes)
+    assert np.max(abs(probe) ** 2 + abs(signal) ** 2) <= 1.0
+    # signal_out is the Rabi ratio -T[1,0]/T[1,1] times
+    # sqrt(gamma31/gamma41), here sqrt(0.5/2)
+    m = MediumParams(alpha=130.0, gamma21=7e-4, gamma31=0.5, gamma41=2.0)
+    d, det = DriveParams(omega_c=1.2, omega_d=1.2), DetuningSet(delta_p=0.1)
+    t = scipy.linalg.expm(coupling_matrix(d, det, m))
+    r = transfer_solve(d, det, m)
+    assert r.signal_out == pytest.approx(-0.5 * t[1, 0] / t[1, 1], rel=1e-9)
 
 
 # --- solve_grid --------------------------------------------------------------
@@ -338,6 +393,19 @@ def test_equivalence_check_fails_on_a_rejected_point(monkeypatch):
 
 
 # --- module boundary -----------------------------------------------------------
+
+def test_steady_kernels_call_no_np_where():
+    # a 0-d np.where costs a scalar solve more than its arithmetic; the
+    # kernels mask with arithmetic instead (x + mask, as in _amplitudes)
+    package = Path(__file__).resolve().parents[1] / "src" / "dlambda_fwm"
+    for name in ("steady_numeric.py", "steady_analytic.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "where"
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("np", "numpy")]
+        assert calls == [], f"{name} calls np.where on lines {calls}"
+
 
 def test_private_kernels_are_reached_only_through_steady_numeric():
     # every grid goes through solve_grid: steady_analytic's private kernel
