@@ -22,8 +22,8 @@ from .dynamics import energy_budget, group_delay, simulate_pulse
 from .errors import ConfigError, FwmError, GridError
 from .experiments import (GAUSSIAN_30US, MAX_SWEEP_POINTS, PRESET_NAMES,
                           SWEEP_VARIABLES, SweepSpec, bandwidth_fwhm,
-                          figure_preset, find_peak, fmt, pulse_csv,
-                          render_values, run_sweep, sweep_csv)
+                          figure_preset, find_peak, fmt, pulse_blocks,
+                          render_values, run_sweep, sweep_blocks)
 from .params import (SteadyResult, khz_to_gamma, metadata_echo, parse_config,
                      parse_pair)
 from .steady_analytic import optimal_delta, regime_error
@@ -126,12 +126,13 @@ def _load_bundle(args):
     return parse_config(text, overrides), preset
 
 
-def _emit(args, text_data: str):
+def _emit(args, blocks):
+    """Write each text block of ``blocks`` to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text_data)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text_data)
+        sys.stdout.writelines(blocks)
 
 
 def _cmd_steady(args) -> int:
@@ -145,15 +146,15 @@ def _cmd_steady(args) -> int:
                                         det.delta_p, det.Delta) is None:
         cf = complex(solve_grid(m, d, det, closed_form=True)[1])
         values["closed_form_ce_discrepancy"] = abs(abs(cf) ** 2 - r.ce)
-    _emit(args, render_values(values, args.format))
+    _emit(args, [render_values(values, args.format)])
     return 0
 
 
 def _cmd_optimize_delta(args) -> int:
     (m, d, det), _ = _load_bundle(args)
     r = optimal_delta(m, d.omega_c)
-    _emit(args, render_values({"delta_star_gamma": r.delta,
-                               "delta_star_khz": r.delta_khz}, args.format))
+    _emit(args, [render_values({"delta_star_gamma": r.delta,
+                                "delta_star_khz": r.delta_khz}, args.format)])
     return 0
 
 
@@ -188,7 +189,7 @@ def _cmd_sweep(args) -> int:
     if variable is None or grid is None:
         raise _Usage("sweep needs --variable and --grid, or a sweep preset")
     spec = SweepSpec(variable, grid, m, d, det, solver=args.solver)
-    _emit(args, sweep_csv(run_sweep(spec), args.format))
+    _emit(args, sweep_blocks(run_sweep(spec), args.format))
     return 0
 
 
@@ -207,7 +208,7 @@ def _cmd_pulse(args) -> int:
     meta = metadata_echo(m, d, det)
     meta.update(shape=pulse.shape, duration_us=pulse.duration * 1e6,
                 n_t=pulse.grid[2])
-    _emit(args, pulse_csv(trace, meta, args.format))
+    _emit(args, pulse_blocks(trace, meta, args.format))
     try:
         delay_us = group_delay(trace) * 1e6
         print(f"group_delay_us = {fmt(delay_us)}", file=sys.stderr)
@@ -231,8 +232,8 @@ def _cmd_bandwidth(args) -> int:
         base = replace(det, delta=khz_to_gamma(peak.value, m.gamma_phys))
         print(f"base delta set to grid optimum: {fmt(peak.value)} kHz",
               file=sys.stderr)
-    _emit(args, render_values({"fwhm_mhz": bandwidth_fwhm(m, d, base)},
-                              args.format))
+    _emit(args, [render_values({"fwhm_mhz": bandwidth_fwhm(m, d, base)},
+                               args.format)])
     return 0
 
 

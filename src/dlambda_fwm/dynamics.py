@@ -164,15 +164,15 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
     dt = (t[1] - t[0]) * m.gamma_phys          # Gamma units
     if dt > DT_GAMMA_LIMIT + 1e-12:
         raise GridError(
-            f"time step too coarse: dt*Gamma = {dt:.3f} > "
+            f"time step too coarse: dt*Gamma = {dt:.4g} > "
             f"{DT_GAMMA_LIMIT} (raise n_t or shrink the window)")
     # the EIT group delay; a drive whose square underflows counts as off
     w2 = d.omega_c * d.omega_c
     delay = m.alpha / w2 / m.gamma_phys if w2 > 0.0 else 0.0
     if t[-1] < p.support_end() + 3.0 * delay:
         raise GridError(
-            f"grid ends at {t[-1]*1e6:.1f} us but pulse support plus 3 "
-            f"group delays needs {(p.support_end() + 3*delay)*1e6:.1f} us")
+            f"grid ends at {t[-1]*1e6:.6g} us but pulse support plus 3 "
+            f"group delays needs {(p.support_end() + 3*delay)*1e6:.6g} us")
 
     u = p.amplitude(t)
     n_pad = 1 << (2 * len(t) - 1).bit_length()

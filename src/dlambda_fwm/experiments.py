@@ -257,33 +257,54 @@ def render_values(values: dict, format: str = "csv") -> str:
     return "".join(f"{k} = {fmt(v)}\n" for k, v in values.items())
 
 
-def _render_dataset(meta: dict, columns: tuple, data: tuple,
-                    format: str) -> str:
+#: rows per CSV block: the text of one block, not of the whole document,
+#: is what a long grid holds in memory at a time
+CSV_BLOCK_ROWS = 1 << 15
+
+
+def _render_dataset(meta: dict, columns: tuple, data: tuple, format: str):
     """A dataset, given as a tuple of equal-length float arrays, one per
     name in ``columns``, as CSV under its metadata comments or as a JSON
-    object; rows exist only in the output."""
+    object; rows exist only in the output.  Yields the document in blocks
+    of text: the CSV header, then CSV_BLOCK_ROWS rows at a time (the JSON
+    object is one block)."""
     if format == "json-like":
-        return render_values({"version": __version__, "metadata": meta,
-                              "columns": list(columns),
-                              "rows": np.column_stack(data).tolist()}, format)
-    row = ",".join([NUMBER] * len(columns))
+        yield render_values({"version": __version__, "metadata": meta,
+                             "columns": list(columns),
+                             "rows": np.column_stack(data).tolist()}, format)
+        return
     lines = [f"# dlambda-fwm v{__version__}"]
     lines += [f"# {k}={fmt(v) if isinstance(v, float) else v}"
               for k, v in meta.items()]
     lines.append(",".join(columns))
-    lines += [row % r for r in zip(*(c.tolist() for c in data))]
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    row = ",".join([NUMBER] * len(columns)) + "\n"
+    for i in range(0, len(data[0]), CSV_BLOCK_ROWS):
+        block = zip(*(c[i:i + CSV_BLOCK_ROWS].tolist() for c in data))
+        yield "".join([row % r for r in block])
 
 
-def sweep_csv(r: SweepResult, format: str = "csv") -> str:
-    """The sweep ``r`` as a dataset document, csv or json-like."""
+def sweep_blocks(r: SweepResult, format: str = "csv"):
+    """The sweep ``r`` as a dataset document, csv or json-like, in the
+    blocks of text _render_dataset yields."""
     return _render_dataset(r.metadata, SWEEP_COLUMNS,
                            (r.value, r.transmittance, r.ce, r.loss), format)
 
 
-def pulse_csv(trace, meta: dict, format: str = "csv") -> str:
+def pulse_blocks(trace, meta: dict, format: str = "csv"):
     """The pulse ``trace`` under ``meta`` as a dataset document, csv or
-    json-like."""
+    json-like, in the blocks of text _render_dataset yields."""
     return _render_dataset(meta, PULSE_COLUMNS,
                            (trace.t * 1e6, trace.probe_in, trace.probe_out,
                             trace.signal_out), format)
+
+
+def sweep_csv(r: SweepResult, format: str = "csv") -> str:
+    """The sweep ``r`` as one dataset document, csv or json-like."""
+    return "".join(sweep_blocks(r, format))
+
+
+def pulse_csv(trace, meta: dict, format: str = "csv") -> str:
+    """The pulse ``trace`` under ``meta`` as one dataset document, csv or
+    json-like."""
+    return "".join(pulse_blocks(trace, meta, format))

@@ -126,22 +126,28 @@ class SteadyResult:
     loss: float = field(init=False)
 
     def __post_init__(self):
-        _require_finite(self, ("probe_out", "signal_out"))
+        # one test on the fast path: T + CE <= 1 fails for a NaN or
+        # infinite amplitude too, and _refuse names what went wrong
         try:
             t = abs(self.probe_out) ** 2
             c = abs(self.signal_out) ** 2
         except OverflowError:
-            raise DomainError(
-                f"passivity violated: T + CE overflows (probe_out="
-                f"{self.probe_out:.6g}, signal_out={self.signal_out:.6g})"
-            ) from None
+            t = c = math.nan
+        if not t + c <= 1.0 + PASSIVITY_SLACK:
+            self._refuse(t, c)
         object.__setattr__(self, "transmittance", t)
         object.__setattr__(self, "ce", c)
         object.__setattr__(self, "loss", 1.0 - t - c)
-        if t + c > 1.0 + PASSIVITY_SLACK:
+
+    def _refuse(self, t: float, c: float):
+        _require_finite(self, ("probe_out", "signal_out"))
+        if math.isnan(t):   # finite amplitudes, but a square overflowed
             raise DomainError(
-                f"passivity violated: T + CE = {t + c:.12g} > 1 "
-                f"(T={t:.6g}, CE={c:.6g})")
+                f"passivity violated: T + CE overflows (probe_out="
+                f"{self.probe_out:.6g}, signal_out={self.signal_out:.6g})")
+        raise DomainError(
+            f"passivity violated: T + CE = {t + c:.12g} > 1 "
+            f"(T={t:.6g}, CE={c:.6g})")
 
 
 def replace_param(bundle: tuple, name: str, value) -> tuple:

@@ -44,6 +44,13 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .params import MediumParams, SteadyResult, gamma_to_khz
 
+#: the floating-point conditions the steady kernels tolerate, as the one
+#: decorator that sets them: an overflow, 0/0 or x/0 becomes inf or NaN,
+#: which the caller's finiteness check turns into a typed error.  Use it
+#: only as a decorator: that form keeps its state per call, so decorated
+#: functions may nest, where a second ``with`` on it would raise.
+_TOLERATED = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
 
 @dataclass(frozen=True)
 class ClosedFormAux:
@@ -104,21 +111,21 @@ def _aux(alpha, delta_kL, omega, delta) -> tuple:
     return xi, kappa, beta2, 1.0 - 1j * delta / w2
 
 
+@_TOLERATED
 def _amplitudes(alpha, delta_kL, omega, delta) -> tuple:
     """Closed-form (probe_out, signal_out) on scalars or broadcast arrays;
     the caller checks the regime and, as for the exact kernel, that the
     amplitudes are finite (a huge omega overflows to NaN)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, kappa, beta2, c = _aux(alpha, delta_kL, omega, delta)
-        ib = -np.sqrt(-beta2)      # i*beta for the root with Im(beta) >= 0
-        em = np.expm1(ib)          # w - 1
-        one_w = 2.0 + em           # 1 + w
-        # f = (1 - w)/beta = -i*em/ib; at ib = 0 both get 1 added: f(0) = -i
-        zero = ib == 0.0
-        f = -1j * (em + zero) / (ib + zero)
-        probe = (2.0 * c * np.exp(0.5 * ib - 0.5j * delta_kL)
-                 / (c * one_w + 0.5j * kappa * f))
-        signal = alpha * f / (kappa * f - 2.0j * c * one_w)
+    _, kappa, beta2, c = _aux(alpha, delta_kL, omega, delta)
+    ib = -np.sqrt(-beta2)      # i*beta for the root with Im(beta) >= 0
+    em = np.expm1(ib)          # w - 1
+    one_w = 2.0 + em           # 1 + w
+    # f = (1 - w)/beta = -i*em/ib; at ib = 0 both get 1 added: f(0) = -i
+    zero = ib == 0.0
+    f = -1j * (em + zero) / (ib + zero)
+    probe = (2.0 * c * np.exp(0.5 * ib - 0.5j * delta_kL)
+             / (c * one_w + 0.5j * kappa * f))
+    signal = alpha * f / (kappa * f - 2.0j * c * one_w)
     return probe, signal
 
 
@@ -129,13 +136,13 @@ def _require_regime(*point) -> None:
         raise err
 
 
+@_TOLERATED
 def closed_form_aux(m: MediumParams, omega: float,
                     delta: float) -> ClosedFormAux:
     """Auxiliary quantities kappa, beta, q, xi (beta the principal root)."""
     _require_regime(m, omega, omega)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xi, kappa, beta2, c = _aux(m.alpha, m.delta_kL, omega, delta)
-        beta = complex(np.sqrt(beta2))
+    xi, kappa, beta2, c = _aux(m.alpha, m.delta_kL, omega, delta)
+    beta = complex(np.sqrt(beta2))
     aux = ClosedFormAux(kappa=kappa, beta=beta, q=c * beta, xi=xi)
     if not all(map(cmath.isfinite, (kappa, beta, aux.q, xi))):
         raise DomainError(f"closed form is not finite at omega={omega}, "
@@ -151,7 +158,7 @@ def steady_closed_form(m: MediumParams, omega: float,
     """
     _require_regime(m, omega, omega)
     probe, signal = _amplitudes(m.alpha, m.delta_kL, omega, delta)
-    return SteadyResult(probe_out=complex(probe), signal_out=complex(signal))
+    return SteadyResult(complex(probe), complex(signal))
 
 
 def optimal_delta(m: MediumParams, omega: float) -> OptimalDelta:

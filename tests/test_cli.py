@@ -262,6 +262,22 @@ def test_out_file(tmp_path, capsys):
     assert "ce = 0.921608856" in path.read_text()
 
 
+def test_csv_written_in_blocks_is_the_same_document(tmp_path, capsys,
+                                                   monkeypatch):
+    # a long grid is written a block of rows at a time; the bytes do not
+    # depend on where the blocks end, on stdout or in --out
+    argv = ["sweep", "--preset", "fig4b"]
+    whole = run(capsys, argv)[1]
+    experiments = dlambda_fwm.experiments
+    monkeypatch.setattr(experiments, "CSV_BLOCK_ROWS", 10)
+    sweep = experiments.run_sweep(experiments.figure_preset("fig4b").sweep)
+    assert len(list(experiments.sweep_blocks(sweep))) == 1 + 8  # 71 rows
+    assert run(capsys, argv) == (0, whole, "")
+    path = tmp_path / "sweep.csv"
+    assert run(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == whole
+
+
 def test_sweep_custom_grid(capsys):
     code, out, _ = run(capsys, ["sweep", "--preset", "fig4a",
                                 "--variable", "delta", "--grid=-50:0:25"])
@@ -316,6 +332,20 @@ def test_pulse_grid_error_exit_2(capsys):
     code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
                                 "--n-t", "4000"])
     assert code == 2 and "dt" in err
+
+
+@pytest.mark.parametrize("setting, message", [
+    # the group delay alpha/omega_c^2 is ~1e200 times the window
+    ("omega_c=1e-100", "error: grid ends at 150 us but pulse support plus "
+                       "3 group delays needs 1.03451e+201 us"),
+    ("gamma_phys_mhz=1e300", "error: time step too coarse: "
+                             "dt*Gamma = 7.854e+298 > 0.5"),
+])
+def test_pulse_grid_error_prints_huge_values_short(capsys, setting, message):
+    code, out, err = run(capsys, ["pulse", "--preset", "fig5a",
+                                  "--set", setting])
+    assert code == 2 and out == ""
+    assert err.startswith(message) and len(err) < 200
 
 
 @pytest.mark.filterwarnings("error")

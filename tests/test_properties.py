@@ -3,6 +3,7 @@
 Derandomized with no deadline, so every run draws the same examples.
 """
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -11,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dlambda_fwm import (BoundarySolveError, DetuningSet, DriveParams,
-                         MediumParams, PulseSpec, simulate_pulse,
+                         FwmError, MediumParams, PulseSpec, closed_form_aux,
+                         coupling_matrix, linear_response, simulate_pulse,
                          steady_closed_form, transfer_solve)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -94,3 +96,68 @@ def test_closed_form_matches_kernel_in_regime(alpha, omega, mismatch_delta):
     assert abs(closed.ce - exact.ce) <= 1e-8 * max(exact.ce, 1e-30)
     assert (abs(closed.probe_out - exact.probe_out)
             <= 1e-8 * max(abs(exact.probe_out), 1e-30))
+
+
+def _magnitudes(lo, hi):
+    """0 or a log-uniform magnitude in [10**lo, 10**hi]."""
+    return st.just(0.0) | st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _signed(lo, hi):
+    return st.tuples(st.sampled_from((1.0, -1.0)),
+                     _magnitudes(lo, hi)).map(lambda t: t[0] * t[1])
+
+
+huge_alphas = _magnitudes(-3.0, 300.0)
+huge_drives = st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
+huge_detunings = _signed(-300.0, 300.0)
+
+
+@st.composite
+def extreme_points(draw):
+    m = MediumParams(alpha=draw(huge_alphas), gamma21=draw(_magnitudes(-3, 3)),
+                     delta_kL=draw(huge_detunings))
+    d = DriveParams(omega_c=draw(huge_drives), omega_d=draw(huge_drives))
+    det = DetuningSet(delta=draw(huge_detunings),
+                      delta_p=draw(huge_detunings), Delta=draw(huge_detunings))
+    return m, d, det
+
+
+def _finite(*values):
+    return all(cmath.isfinite(v) for v in values)
+
+
+def _typed_or_finite(call, finite):
+    """call()'s result passes ``finite`` unless call raised an FwmError;
+    numpy's error state is the same afterwards either way."""
+    before = np.geterr()
+    try:
+        r = call()
+    except FwmError:
+        r = None
+    assert np.geterr() == before
+    assert r is None or finite(r), r
+
+
+def _steady_ok(r):
+    return (_finite(r.probe_out, r.signal_out, r.transmittance, r.ce, r.loss)
+            and r.transmittance + r.ce <= 1.0 + 1e-9)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(extreme_points())
+def test_extreme_inputs_give_finite_passive_results_or_typed_errors(point):
+    # the kernels run under one shared errstate: an overflow or 0/0 inside
+    # them must end in a typed error (a leaked warning fails the suite)
+    m, d, det = point
+    _typed_or_finite(lambda: transfer_solve(d, det, m), _steady_ok)
+    _typed_or_finite(lambda: coupling_matrix(d, det, m),
+                     lambda cm: np.isfinite(cm).all())
+    _typed_or_finite(lambda: linear_response(d, det, m),
+                     lambda r: _finite(*r.rho21, *r.rho31, *r.rho41))
+    # the closed form's regime: balanced drives, the rest at the defaults
+    mc = MediumParams(alpha=m.alpha, delta_kL=m.delta_kL)
+    _typed_or_finite(lambda: steady_closed_form(mc, d.omega_c, det.delta),
+                     _steady_ok)
+    _typed_or_finite(lambda: closed_form_aux(mc, d.omega_c, det.delta),
+                     lambda a: _finite(a.kappa, a.beta, a.q, a.xi))

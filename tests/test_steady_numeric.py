@@ -394,17 +394,34 @@ def test_equivalence_check_fails_on_a_rejected_point(monkeypatch):
 
 # --- module boundary -----------------------------------------------------------
 
+def _numpy_attrs(attr, nodes) -> list:
+    """The line numbers of ``np.<attr>`` among the ast ``nodes``."""
+    return [node.lineno for node in nodes
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")]
+
+
 def test_steady_kernels_call_no_np_where():
     # a 0-d np.where costs a scalar solve more than its arithmetic; the
-    # kernels mask with arithmetic instead (x + mask, as in _amplitudes)
+    # kernels mask with arithmetic instead (x + mask, as in _amplitudes).
+    # Likewise, building and entering an np.errstate costs a scalar call
+    # twice what the one module-level decorator does, so the two modules
+    # build exactly one, outside any function: one shared error state
     package = Path(__file__).resolve().parents[1] / "src" / "dlambda_fwm"
+    errstates = []
     for name in ("steady_numeric.py", "steady_analytic.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
-        calls = [node.lineno for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and node.attr == "where"
-                 and isinstance(node.value, ast.Name)
-                 and node.value.id in ("np", "numpy")]
+        calls = _numpy_attrs("where", ast.walk(tree))
         assert calls == [], f"{name} calls np.where on lines {calls}"
+        in_functions = _numpy_attrs("errstate", (
+            node for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(stmt)))
+        assert in_functions == [], (f"{name} builds np.errstate inside a "
+                                    f"function on lines {in_functions}")
+        errstates += _numpy_attrs("errstate", ast.walk(tree))
+    assert len(errstates) == 1, f"np.errstate built on lines {errstates}"
 
 
 def test_private_kernels_are_reached_only_through_steady_numeric():
