@@ -10,11 +10,9 @@ from .errors import (BoundarySolveError, ConfigError, DomainError,
                      FwmError, GridError, RegimeError, ScanRangeError)
 from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
                      gamma_to_khz, khz_to_gamma, parse_config)
-from .steady_numeric import (CoherenceResponse, coupling_matrix,
-                             linear_response, solve_grid, steady_coherences,
+from .steady_numeric import (coupling_matrix, linear_response, solve_grid,
                              transfer_solve)
-from .steady_analytic import (ClosedFormAux, OptimalDelta, closed_form_aux,
-                              eit_phase_shift, optimal_delta,
+from .steady_analytic import (OptimalDelta, eit_phase_shift, optimal_delta,
                               steady_closed_form)
 from .dynamics import (EnergyBudget, PulseSpec, PulseTrace, energy_budget,
                        group_delay, simulate_pulse)
@@ -26,10 +24,8 @@ __all__ = [
     "__version__",
     "MediumParams", "DriveParams", "DetuningSet", "SteadyResult",
     "khz_to_gamma", "gamma_to_khz", "parse_config",
-    "CoherenceResponse", "steady_coherences", "linear_response",
-    "coupling_matrix", "transfer_solve", "solve_grid",
-    "ClosedFormAux", "OptimalDelta", "closed_form_aux", "steady_closed_form",
-    "optimal_delta", "eit_phase_shift",
+    "linear_response", "coupling_matrix", "transfer_solve", "solve_grid",
+    "OptimalDelta", "steady_closed_form", "optimal_delta", "eit_phase_shift",
     "PulseSpec", "PulseTrace", "EnergyBudget", "simulate_pulse",
     "group_delay", "energy_budget",
     "SweepSpec", "SweepResult", "PeakResult", "FigurePreset", "run_sweep",

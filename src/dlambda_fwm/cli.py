@@ -183,9 +183,15 @@ def _cmd_sweep(args) -> int:
         # every point from START towards STOP, none past it
         n = math.floor(steps + 1e-9)
         grid = np.linspace(start, start + n * step, n + 1)
-    if preset is not None and preset.sweep is not None:
-        variable = variable or preset.sweep.variable
-        grid = grid if grid is not None else preset.sweep.grid
+    own = preset.sweep if preset is not None else None
+    if own is not None:
+        variable = variable or own.variable
+        if grid is None:
+            # the preset's grid is in its own variable's unit
+            if variable != own.variable:
+                raise _Usage(f"--variable {variable} needs --grid: preset "
+                             f"{args.preset} sweeps {own.variable}")
+            grid = own.grid
     if variable is None or grid is None:
         raise _Usage("sweep needs --variable and --grid, or a sweep preset")
     spec = SweepSpec(variable, grid, m, d, det, solver=args.solver)

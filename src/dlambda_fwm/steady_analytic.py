@@ -35,7 +35,6 @@ at dkL = delta = 0 (phase-matched and resonant) is an ordinary point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,16 +49,6 @@ from .params import MediumParams, SteadyResult, gamma_to_khz
 #: only as a decorator: that form keeps its state per call, so decorated
 #: functions may nest, where a second ``with`` on it would raise.
 _TOLERATED = np.errstate(divide="ignore", invalid="ignore", over="ignore")
-
-
-@dataclass(frozen=True)
-class ClosedFormAux:
-    """Auxiliary closed-form quantities."""
-
-    kappa: complex
-    beta: complex
-    q: complex
-    xi: float
 
 
 @dataclass(frozen=True)
@@ -134,20 +123,6 @@ def _require_regime(*point) -> None:
     err = regime_error(*point)
     if err is not None:
         raise err
-
-
-@_TOLERATED
-def closed_form_aux(m: MediumParams, omega: float,
-                    delta: float) -> ClosedFormAux:
-    """Auxiliary quantities kappa, beta, q, xi (beta the principal root)."""
-    _require_regime(m, omega, omega)
-    xi, kappa, beta2, c = _aux(m.alpha, m.delta_kL, omega, delta)
-    beta = complex(np.sqrt(beta2))
-    aux = ClosedFormAux(kappa=kappa, beta=beta, q=c * beta, xi=xi)
-    if not all(map(cmath.isfinite, (kappa, beta, aux.q, xi))):
-        raise DomainError(f"closed form is not finite at omega={omega}, "
-                          f"delta={delta}, alpha={m.alpha}")
-    return aux
 
 
 def steady_closed_form(m: MediumParams, omega: float,

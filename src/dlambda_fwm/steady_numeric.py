@@ -8,8 +8,10 @@ M (Op, Os), a 2-point boundary value problem with Op(0) = Op0 and
 Os(L) = 0 (the signal builds up backwards), solved in a ratio form that
 needs no matrix exponential.  One array kernel does both, with no branch
 and no np.where: its two singular points (c1 = 0, s = 0) are masked with
-arithmetic.  The scalar functions wrap it, and solve_grid evaluates it on
-a parameter grid for sweeps, the bandwidth scan and the pulse propagator.
+arithmetic.  transfer_solve wraps it, and solve_grid evaluates it on a
+parameter grid for sweeps, the bandwidth scan and the pulse propagator;
+linear_response and coupling_matrix return the elimination's two halves
+(the coherences' 3x2 response and M*L) at one point.
 The signal it returns is a photon-number amplitude: CE = |signal_out|^2
 counts signal photons per probe photon, also when gamma31 != gamma41.
 
@@ -28,7 +30,6 @@ calls on an Intel Xeon with 2 vCPUs shared with other tenants, Python
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,20 +41,6 @@ from .steady_analytic import _TOLERATED, _amplitudes, _require_regime
 #: log of the smallest |T[1,1]| the boundary solve accepts
 LOG_T11_MIN = math.log(1e-14)
 _LOG_2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class CoherenceResponse:
-    """Linear response of the coherences to the weak fields.
-
-    Each attribute is a pair (coefficient on Omega_p, coefficient on
-    Omega_s); the full coherence for given amplitudes is the dot product.
-    Exact linearity holds by construction.
-    """
-
-    rho21: tuple
-    rho31: tuple
-    rho41: tuple
 
 
 def _point(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
@@ -236,23 +223,16 @@ def _finite(what: str, values, m: MediumParams,
 
 @_TOLERATED
 def linear_response(d: DriveParams, det: DetuningSet,
-                    m: MediumParams) -> CoherenceResponse:
-    """Pairwise linear-response coefficients of (rho21, rho31, rho41)."""
+                    m: MediumParams) -> np.ndarray:
+    """The coherences' linear response to the weak fields, a complex 3x2
+    array: rows rho21, rho31, rho41, columns the coefficients per unit
+    Omega_p and Omega_s; the coherences are its product with the pair."""
     d31, d41, g_p, g_s, _ = _eliminate(_point(m, d, det))
     r31, r41 = 0.5j / d31, 0.5j / d41
-    c = _finite("linear response", (
+    return _finite("linear response", (
         g_p, g_s, r31 * (1.0 + d.omega_c * g_p), r31 * d.omega_c * g_s,
-        r41 * d.omega_d * g_p, r41 * (1.0 + d.omega_d * g_s)), m, d).tolist()
-    return CoherenceResponse(rho21=tuple(c[0:2]), rho31=tuple(c[2:4]),
-                             rho41=tuple(c[4:6]))
-
-
-def steady_coherences(omega_p: complex, omega_s: complex, d: DriveParams,
-                      det: DetuningSet, m: MediumParams) -> tuple:
-    """Steady coherences (rho21, rho31, rho41) for given field amplitudes."""
-    r = linear_response(d, det, m)
-    return tuple(c_p * omega_p + c_s * omega_s
-                 for (c_p, c_s) in (r.rho21, r.rho31, r.rho41))
+        r41 * d.omega_d * g_p, r41 * (1.0 + d.omega_d * g_s)),
+        m, d).reshape(3, 2)
 
 
 @_TOLERATED

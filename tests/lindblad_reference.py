@@ -68,9 +68,9 @@ def steady_state(*, omega_p, omega_s, omega_c, omega_d, delta, delta_p,
 
 
 def coherences_per_field(m, d, det, eps: float, branching=0.5) -> tuple:
-    """(rho21, rho31, rho41) per unit probe and per unit signal, as
-    CoherenceResponse's pairs: each item is (value at Op = eps, Os = 0,
-    value at Op = 0, Os = eps), divided by eps."""
+    """(rho21, rho31, rho41) per unit probe and per unit signal, as the
+    rows of linear_response's array: each item is (value at Op = eps,
+    Os = 0, value at Op = 0, Os = eps), divided by eps."""
     params = dict(omega_c=d.omega_c, omega_d=d.omega_d, delta=det.delta,
                   delta_p=det.delta_p, Delta=det.Delta, gamma21=m.gamma21,
                   gamma31=m.gamma31, gamma41=m.gamma41, branching=branching)

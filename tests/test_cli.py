@@ -315,6 +315,24 @@ def test_sweep_without_axis(capsys):
     assert code == 1 and "sweep needs" in err
 
 
+@pytest.mark.parametrize("preset, variable", [("fig4a", "delta"),
+                                              ("fig4b", "alpha")])
+def test_sweep_other_variable_needs_grid(capsys, preset, variable):
+    # a preset's grid is in its own variable's unit (fig4a: omega_d in
+    # Gamma), so it is never read as another variable's grid
+    code, out, err = run(capsys, ["sweep", "--preset", preset,
+                                  "--variable", variable])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: --variable {variable} needs --grid")
+
+
+def test_sweep_preset_own_variable_keeps_its_grid(capsys):
+    whole = run(capsys, ["sweep", "--preset", "fig4b"])
+    assert whole[0] == 0
+    assert run(capsys, ["sweep", "--preset", "fig4b",
+                        "--variable", "delta"]) == whole
+
+
 def test_pulse_slow_light(capsys):
     code, out, err = run(capsys, ["pulse", "--preset", "fig2a",
                                   "--t-max-us", "100", "--n-t", "8000"])

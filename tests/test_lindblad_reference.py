@@ -22,8 +22,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def _relative_error(m, d, det, eps, branching=0.5) -> float:
-    r = linear_response(d, det, m)
-    linear = np.array([r.rho21, r.rho31, r.rho41])
+    linear = linear_response(d, det, m)
     exact = np.array(coherences_per_field(m, d, det, eps, branching))
     return float(np.max(abs(exact - linear) / abs(linear)))
 

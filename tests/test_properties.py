@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dlambda_fwm import (BoundarySolveError, DetuningSet, DriveParams,
-                         FwmError, MediumParams, PulseSpec, closed_form_aux,
-                         coupling_matrix, linear_response, simulate_pulse,
-                         steady_closed_form, transfer_solve)
+                         FwmError, MediumParams, PulseSpec, coupling_matrix,
+                         linear_response, simulate_pulse, steady_closed_form,
+                         transfer_solve)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -154,10 +154,8 @@ def test_extreme_inputs_give_finite_passive_results_or_typed_errors(point):
     _typed_or_finite(lambda: coupling_matrix(d, det, m),
                      lambda cm: np.isfinite(cm).all())
     _typed_or_finite(lambda: linear_response(d, det, m),
-                     lambda r: _finite(*r.rho21, *r.rho31, *r.rho41))
+                     lambda r: np.isfinite(r).all())
     # the closed form's regime: balanced drives, the rest at the defaults
     mc = MediumParams(alpha=m.alpha, delta_kL=m.delta_kL)
     _typed_or_finite(lambda: steady_closed_form(mc, d.omega_c, det.delta),
                      _steady_ok)
-    _typed_or_finite(lambda: closed_form_aux(mc, d.omega_c, det.delta),
-                     lambda a: _finite(a.kappa, a.beta, a.q, a.xi))

@@ -9,49 +9,50 @@ import scipy.linalg
 
 from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
                          RegimeError, coupling_matrix, linear_response,
-                         solve_grid, steady_closed_form, steady_coherences,
-                         steady_numeric, transfer_solve, validation)
+                         solve_grid, steady_closed_form, steady_numeric,
+                         transfer_solve, validation)
+
+
+def _bloch_matrix(m, d, det):
+    """The steady Bloch equations, re-derived independently of the solver
+    as A @ (rho21, rho31, rho41) = -(i/2)(0, Op, Os)."""
+    return np.array([
+        [1j * det.delta - m.gamma21 / 2, 0.5j * d.omega_c, 0.5j * d.omega_d],
+        [0.5j * d.omega_c, 1j * det.delta_p - m.gamma31 / 2, 0.0],
+        [0.5j * d.omega_d, 0.0, 1j * det.Delta - m.gamma41 / 2]])
 
 
 def _bloch_residual(m, d, det, omega_p, omega_s, rho):
-    """Re-derived steady-state equations, independent of the solver's matrix."""
-    rho21, rho31, rho41 = rho
-    r1 = ((1j * det.delta - m.gamma21 / 2) * rho21
-          + 0.5j * np.conj(d.omega_c) * rho31
-          + 0.5j * np.conj(d.omega_d) * rho41)
-    r2 = (0.5j * omega_p + 0.5j * d.omega_c * rho21
-          + (1j * det.delta_p - m.gamma31 / 2) * rho31)
-    r3 = (0.5j * omega_s + 0.5j * d.omega_d * rho21
-          + (1j * det.Delta - m.gamma41 / 2) * rho41)
-    return max(abs(r1), abs(r2), abs(r3))
+    return max(abs(_bloch_matrix(m, d, det) @ rho
+                   + 0.5j * np.array([0.0, omega_p, omega_s])))
 
 
-def test_steady_coherences_residual():
+def test_linear_response_residual():
     m = MediumParams(alpha=130.0, gamma21=7e-4, delta_kL=0.134 * math.pi)
     d = DriveParams(omega_c=1.2, omega_d=1.2)
     det = DetuningSet(delta=-0.0045, delta_p=0.002, Delta=-0.001)
     op, os_ = 0.7 - 0.2j, 0.1 + 0.3j
-    rho = steady_coherences(op, os_, d, det, m)
+    rho = linear_response(d, det, m) @ (op, os_)
     assert _bloch_residual(m, d, det, op, os_, rho) < 1e-12
 
 
-def test_steady_coherences_linearity():
+def test_linear_response_linearity():
+    # each column solves the Bloch equations for its unit field, so any
+    # combination of the columns solves them for the same field combination
     m = MediumParams(alpha=45.0)
     d = DriveParams(omega_c=0.6, omega_d=0.3)
     det = DetuningSet(delta=0.01)
-    a = steady_coherences(1.0, 0.0, d, det, m)
-    b = steady_coherences(0.0, 1.0, d, det, m)
-    op, os_ = 0.7 + 0.2j, -0.3j
-    combo = tuple(op * x + os_ * y for x, y in zip(a, b))
-    direct = steady_coherences(op, os_, d, det, m)
-    assert max(abs(x - y) for x, y in zip(combo, direct)) < 1e-14
+    r = linear_response(d, det, m)
+    for op, os_ in ((1.0, 0.0), (0.0, 1.0), (0.7 + 0.2j, -0.3j)):
+        rho = r @ (op, os_)
+        assert _bloch_residual(m, d, det, op, os_, rho) < 1e-14
 
 
 def test_two_level_limit():
     m = MediumParams(alpha=1.0)
     d = DriveParams(omega_c=0.0, omega_d=0.0)
     det = DetuningSet()
-    rho21, rho31, rho41 = steady_coherences(1.0, 0.0, d, det, m)
+    rho21, rho31, rho41 = linear_response(d, det, m)[:, 0]
     assert rho21 == 0.0
     assert rho31 == pytest.approx(1j / m.gamma31)
     assert rho41 == 0.0
@@ -61,7 +62,7 @@ def test_ideal_eit_dark_state():
     m = MediumParams(alpha=45.0, gamma21=0.0)
     d = DriveParams(omega_c=0.6)
     det = DetuningSet()
-    rho21, rho31, _ = steady_coherences(1.0, 0.0, d, det, m)
+    rho21, rho31, _ = linear_response(d, det, m)[:, 0]
     # perfect transparency: no excited-state amplitude, ground coherence -1/omega_c
     assert abs(rho31) < 1e-15
     assert rho21 == pytest.approx(-1.0 / 0.6, rel=1e-12)
@@ -73,20 +74,22 @@ def test_dark_state_at_weak_coupling():
     m = MediumParams(alpha=45.0, gamma21=0.0)
     d = DriveParams(omega_c=1e-7)
     det = DetuningSet()
-    rho21, rho31, _ = steady_coherences(1.0, 0.0, d, det, m)
+    rho21, rho31, _ = linear_response(d, det, m)[:, 0]
     assert rho21 == pytest.approx(-1e7, rel=1e-12)
     assert abs(rho31) < 1e-12
 
 
 def test_linear_response_matches_unit_solves():
+    # rows rho21, rho31, rho41 and one column per unit field, against a
+    # direct 3x3 solve of the Bloch system for each unit field
     m = MediumParams(alpha=130.0, gamma21=7e-4)
-    d = DriveParams(omega_c=1.2, omega_d=1.2)
-    det = DetuningSet(delta=-0.0045)
+    d = DriveParams(omega_c=1.2, omega_d=0.9)
+    det = DetuningSet(delta=-0.0045, delta_p=0.03, Delta=-0.02)
     resp = linear_response(d, det, m)
-    up = steady_coherences(1.0, 0.0, d, det, m)
-    us = steady_coherences(0.0, 1.0, d, det, m)
-    assert (resp.rho21[0], resp.rho31[0], resp.rho41[0]) == up
-    assert (resp.rho21[1], resp.rho31[1], resp.rho41[1]) == us
+    assert resp.shape == (3, 2) and resp.dtype == np.complex128
+    unit = np.linalg.solve(_bloch_matrix(m, d, det),
+                           -0.5j * np.array([[0, 0], [1, 0], [0, 1]]))
+    assert np.allclose(resp, unit, rtol=1e-12, atol=0)
 
 
 def test_coupling_matrix_beer_lambert_structure():
@@ -131,8 +134,6 @@ def test_coherence_response_huge_drive_is_a_domain_error():
     m, d = MediumParams(alpha=1.0), DriveParams(omega_c=1e200, omega_d=1e200)
     with pytest.raises(DomainError, match="^linear response is not finite"):
         linear_response(d, DetuningSet(), m)
-    with pytest.raises(DomainError, match="^linear response is not finite"):
-        steady_coherences(1.0, 0.5, d, DetuningSet(), m)
     with pytest.raises(DomainError, match="^coupling matrix is not finite"):
         coupling_matrix(d, DetuningSet(), m)
 
