@@ -21,11 +21,10 @@ from ._version import __version__
 from .dynamics import energy_budget, group_delay, simulate_pulse
 from .errors import ConfigError, FwmError, GridError
 from .experiments import (GAUSSIAN_30US, MAX_SWEEP_POINTS, PRESET_NAMES,
-                          SWEEP_VARIABLES, SweepSpec, bandwidth_fwhm,
-                          figure_preset, find_peak, fmt, pulse_blocks,
+                          SWEEP_VARIABLES, SweepSpec, anchored_bandwidth,
+                          bandwidth_fwhm, figure_preset, fmt, pulse_blocks,
                           render_values, run_sweep, sweep_blocks)
-from .params import (SteadyResult, khz_to_gamma, metadata_echo, parse_config,
-                     parse_pair)
+from .params import SteadyResult, metadata_echo, parse_config, parse_pair
 from .steady_analytic import optimal_delta, regime_error
 from .steady_numeric import solve_grid
 from .validation import run_all
@@ -229,17 +228,16 @@ def _cmd_pulse(args) -> int:
 
 def _cmd_bandwidth(args) -> int:
     (m, d, det), preset = _load_bundle(args)
-    base = det
     if preset is not None and preset.sweep is not None \
             and preset.sweep.variable == "delta" \
             and not (args.set or args.config):
         # anchor the scan at the optimum of the preset's own parameters
-        peak = find_peak(run_sweep(preset.sweep))
-        base = replace(det, delta=khz_to_gamma(peak.value, m.gamma_phys))
-        print(f"base delta set to grid optimum: {fmt(peak.value)} kHz",
+        fwhm, anchor = anchored_bandwidth(preset.sweep)
+        print(f"base delta set to grid optimum: {fmt(anchor)} kHz",
               file=sys.stderr)
-    _emit(args, [render_values({"fwhm_mhz": bandwidth_fwhm(m, d, base)},
-                               args.format)])
+    else:
+        fwhm = bandwidth_fwhm(m, d, det)
+    _emit(args, [render_values({"fwhm_mhz": fwhm}, args.format)])
     return 0
 
 

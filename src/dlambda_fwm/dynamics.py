@@ -55,6 +55,9 @@ from .steady_numeric import solve_grid
 
 DT_GAMMA_LIMIT = 0.5
 TAIL_FRACTION = 1e-4
+#: the share of the input energy at and below which a transmitted probe
+#: is rounding, not light; see _transmitted
+ROUNDOFF_FLOOR = float(np.finfo(float).eps)
 
 DEFAULT_N_T = 12000
 MAX_N_T = 10 ** 6
@@ -195,28 +198,52 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
                       signal_out=np.abs(signal) ** 2)
 
 
-def group_delay(trace: PulseTrace) -> float:
-    """Intensity-centroid delay of probe_out relative to probe_in, seconds."""
-    e_out = np.trapezoid(trace.probe_out, trace.t)
-    if e_out <= 0.0:
-        raise DomainError("no transmitted probe energy; delay undefined")
-    c_out = np.trapezoid(trace.t * trace.probe_out, trace.t) / e_out
+def _transmitted(trace: PulseTrace) -> tuple:
+    """(e_in, e_out, resolved): the probe's input and output energies, and
+    whether e_out is above ROUNDOFF_FLOOR * e_in.
+
+    The output probe is u + ifft((H_p - 1) U).  In an opaque medium the
+    two terms cancel, and what is left is their rounding: an amplitude of
+    order eps times the input's, an energy of order eps**2 times the
+    input's, whatever the optical depth.  An output with more than eps
+    times the input energy has an amplitude above sqrt(eps) times the
+    input's, which that rounding moves by less than sqrt(eps) relative;
+    at or below the floor the output is counted as no light.
+    """
     e_in = np.trapezoid(trace.probe_in, trace.t)
+    e_out = np.trapezoid(trace.probe_out, trace.t)
+    return e_in, e_out, bool(e_out > ROUNDOFF_FLOOR * e_in)
+
+
+def group_delay(trace: PulseTrace) -> float:
+    """Intensity-centroid delay of probe_out relative to probe_in, seconds.
+
+    DomainError when the transmitted energy is at or below the round-off
+    floor (_transmitted): the centroid of rounding is no delay.
+    """
+    e_in, e_out, resolved = _transmitted(trace)
+    if not resolved:
+        raise DomainError("no transmitted probe energy above the round-off "
+                          "floor; delay undefined")
+    c_out = np.trapezoid(trace.t * trace.probe_out, trace.t) / e_out
     c_in = np.trapezoid(trace.t * trace.probe_in, trace.t) / e_in
     return c_out - c_in
 
 
 def energy_budget(trace: PulseTrace) -> EnergyBudget:
     """Pulse-integrated transmittance/conversion, with a truncation flag
-    set when an output trace has not decayed to < 1e-4 of its peak by the
-    end of the grid."""
-    e_in = np.trapezoid(trace.probe_in, trace.t)
+    set when a trace has not decayed to < 1e-4 of its peak at either end
+    of the grid.  A transmitted probe at the round-off floor
+    (_transmitted) is no light, and its tail is not flagged."""
+    e_in, e_out, resolved = _transmitted(trace)
     if e_in <= 0.0:
         raise DomainError("input pulse carries no energy")
-    t_pulse = float(np.trapezoid(trace.probe_out, trace.t) / e_in)
+    t_pulse = float(e_out / e_in)
     ce_pulse = float(np.trapezoid(trace.signal_out, trace.t) / e_in)
     truncated = False
-    for y in (trace.probe_in, trace.probe_out, trace.signal_out):
+    outputs = (trace.probe_out, trace.signal_out) if resolved \
+        else (trace.signal_out,)
+    for y in (trace.probe_in, *outputs):
         peak = float(np.max(y))
         if peak > 0.0 and (y[0] > TAIL_FRACTION * peak
                            or y[-1] > TAIL_FRACTION * peak):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -134,7 +134,10 @@ def find_peak(r: SweepResult) -> PeakResult:
     y0, y1, y2 = r.ce[i - 1:i + 2].tolist()
     num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
     den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if den == 0.0:                      # flat triple; keep the grid point
+    # y1 is the first maximum, so y1 > y0 and den != 0 in exact
+    # arithmetic; it is 0 only when it underflows, and a triple that
+    # level (subnormal ce steps) keeps its grid point
+    if den == 0.0:
         return PeakResult(value=x1, ce=y1, boundary=False)
     xs = x1 - 0.5 * num / den
     # evaluate the interpolating parabola at the vertex
@@ -182,6 +185,17 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams,
 
     width = crossing(hi + 1, hi) - crossing(lo - 1, lo)
     return float(width * m.gamma_phys / (TWO_PI * 1e6))
+
+
+def anchored_bandwidth(s: SweepSpec) -> tuple:
+    """(FWHM in MHz, anchor in kHz): bandwidth_fwhm at the peak of the
+    delta sweep ``s``, with delta set to find_peak's value on its grid."""
+    if s.variable != "delta":
+        raise DomainError(f"the bandwidth anchor needs a delta sweep, "
+                          f"got {s.variable!r}")
+    anchor = find_peak(run_sweep(s)).value
+    base = replace(s.detuning, delta=khz_to_gamma(anchor, s.medium.gamma_phys))
+    return bandwidth_fwhm(s.medium, s.drive, base), anchor
 
 
 # ---------------------------------------------------------------------------

@@ -190,24 +190,28 @@ CONFIG_KEYS = tuple(_FIELD_OF_KEY)
 REQUIRED_KEYS = ("alpha", "omega_c")
 
 
-def _known(key: str) -> str:
-    if key in CONFIG_KEYS:
-        return key
-    raise ConfigError(f"unknown key '{key}' (known: {', '.join(CONFIG_KEYS)})")
+def _entry(key: str, val) -> tuple:
+    """(key, float(val)): the one key-and-number rule of config lines,
+    --set items and parse_config's overrides.  ConfigError on an unknown
+    key or a value float() refuses."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(
+            f"unknown key '{key}' (known: {', '.join(CONFIG_KEYS)})")
+    try:
+        return key, float(val)
+    except (TypeError, ValueError):
+        shown = val.strip() if isinstance(val, str) else val
+        raise ConfigError(
+            f"malformed number for key '{key}': {shown!r}") from None
 
 
 def parse_pair(item: str) -> tuple:
     """(key, float) of one ``key = value`` config line or CLI --set item;
     ConfigError on a missing '=', an unknown key or a malformed number."""
     key, sep, val = item.partition("=")
-    key = key.strip()
     if not sep:
         raise ConfigError(f"expected 'key = value', got {item!r}")
-    try:
-        return _known(key), float(val)
-    except ValueError:
-        raise ConfigError(
-            f"malformed number for key '{key}': {val.strip()!r}") from None
+    return _entry(key.strip(), val)
 
 
 def parse_config(text: str, overrides: dict | None = None) -> tuple:
@@ -217,16 +221,19 @@ def parse_config(text: str, overrides: dict | None = None) -> tuple:
     a comment (full-line or trailing); blank lines are ignored; keys are
     case-sensitive and must come from CONFIG_KEYS; values are decimal
     numbers.  Duplicate keys: last one wins, and ``overrides`` ({key:
-    float}) win over the document.  Required keys: alpha, omega_c; a
-    missing key takes its dataclass field's default.
+    number}) win over the document; each goes through the same key and
+    number rule as a line.  Required keys: alpha, omega_c; a missing key
+    takes its dataclass field's default.
 
     Raises
     ------
     ConfigError
         On an unknown key, a malformed line or number (naming the 1-based
-        line), a missing required key, or a value that breaks an
-        invariant (naming the key and, unless an override set it, the
-        line of the value that took effect).
+        line; an override that float() refuses, such as "abc", None or
+        1+2j, is a malformed number with no line), a missing required
+        key, or a value that breaks an invariant (naming the key and,
+        unless an override set it, the line of the value that took
+        effect).
     """
     values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -239,7 +246,8 @@ def parse_config(text: str, overrides: dict | None = None) -> tuple:
             raise ConfigError(f"line {lineno}: {exc}") from None
         values[key], lines[key] = val, lineno
     for key, val in (overrides or {}).items():
-        values[_known(key)] = float(val)
+        key, val = _entry(key, val)
+        values[key] = val
         lines.pop(key, None)
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:

@@ -20,11 +20,8 @@ state, steady_analytic._TOLERATED: divide, invalid and over are ignored,
 so an overflow or 0/0 comes out as inf or NaN, and the finiteness checks
 turn it into a DomainError; the caller's np.geterr() is left as it was.
 It is one module-level np.errstate used as a decorator, which costs about
-half of building and entering a fresh one per call.  A scalar
-transfer_solve then takes about 8.3 us and steady_closed_form 5.0 us,
-most of it numpy's 0-d arithmetic (the fastest of 60 batches of 2000
-calls on an Intel Xeon with 2 vCPUs shared with other tenants, Python
-3.11, numpy 2.4).
+half of building and entering a fresh one per call (the README gives the
+per-call timings).
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PulseSpec, energy_budget, group_delay, simulate_pulse
+from .dynamics import PulseSpec, group_delay, simulate_pulse
 from .errors import FwmError
-from .experiments import bandwidth_fwhm, figure_preset, find_peak, run_sweep
-from .params import (DetuningSet, DriveParams, MediumParams, khz_to_gamma)
+from .experiments import anchored_bandwidth, figure_preset, run_sweep
+from .params import DetuningSet, DriveParams, MediumParams, gamma_to_khz
 from .steady_analytic import eit_phase_shift, optimal_delta
 from .steady_numeric import solve_grid, transfer_solve
 
@@ -69,10 +69,8 @@ def check_oracle_equivalence() -> CheckResult:
 
 
 def check_optimal_detuning() -> CheckResult:
-    dense = optimal_delta(
-        MediumParams(alpha=130.0, delta_kL=0.134 * math.pi), 1.2)
-    mot = optimal_delta(
-        MediumParams(alpha=45.0, delta_kL=0.447 * math.pi), 0.6)
+    dense, mot = (optimal_delta(p.medium, p.drive.omega_c)
+                  for p in map(figure_preset, ("fig4a", "fig3a")))
     ok = (abs(dense.delta_khz - (-28.0)) <= 0.5
           and abs(dense.delta_khz - (-27.0)) <= 2.0
           and abs(mot.delta_khz - (-67.0)) <= 1.0
@@ -101,13 +99,16 @@ def check_peak_ce_mot() -> CheckResult:
 
 
 def check_phase_shifts() -> CheckResult:
-    m = MediumParams(alpha=130.0, delta_kL=0.134 * math.pi)
-    phi1 = eit_phase_shift(m, 1.2, khz_to_gamma(-27.0)) / math.pi
-    phi2 = eit_phase_shift(m, 1.2, khz_to_gamma(-147.0)) / math.pi
-    ok = abs(phi1 - (-0.129)) <= 0.005 and abs(phi2 - (-0.704)) <= 0.005
-    return CheckResult(5, "phase-shift-estimates", ok,
-                       f"phi(-27 kHz)={phi1:.4f} pi (want -0.129+-0.005), "
-                       f"phi(-147 kHz)={phi2:.4f} pi (want -0.704+-0.005)")
+    ok, details = True, []
+    for name, want in (("fig5a", -0.129), ("fig5c", -0.704)):
+        p = figure_preset(name)
+        phi = eit_phase_shift(p.medium, p.drive.omega_c,
+                              p.detuning.delta) / math.pi
+        ok = ok and abs(phi - want) <= 0.005
+        khz = gamma_to_khz(p.detuning.delta, p.medium.gamma_phys)
+        details.append(f"phi({khz:g} kHz)={phi:.4f} pi "
+                       f"(want {want}+-0.005)")
+    return CheckResult(5, "phase-shift-estimates", ok, ", ".join(details))
 
 
 def _delay_case(preset_name: str):
@@ -133,12 +134,13 @@ def check_slow_light_delay() -> CheckResult:
 
 def check_dynamics_steady_consistency() -> CheckResult:
     """Plateau of a flat top against the steady state, averaged over the
-    last 20 us of the 80 us hold, once the ~7.5 us settling has died out."""
+    last 20 us of the 80 us hold, once the ~7.5 us settling has died out.
+    The pulse's start and time grid are PulseSpec's defaults."""
     pre = figure_preset("fig4a")
-    pulse = PulseSpec(shape="flat_top", duration=80e-6, ramp=10e-6,
-                      t_start=20e-6, grid=(0.0, 150e-6, 12000))
+    pulse = PulseSpec(shape="flat_top", duration=80e-6, ramp=10e-6)
     trace = simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
-    sel = (trace.t >= 90e-6) & (trace.t <= 110e-6)
+    end = pulse.t_start + pulse.ramp + pulse.duration
+    sel = (trace.t >= end - 20e-6) & (trace.t <= end)
     t_plateau = float(np.mean(trace.probe_out[sel]))
     ce_plateau = float(np.mean(trace.signal_out[sel]))
     steady = transfer_solve(pre.drive, pre.detuning, pre.medium)
@@ -149,7 +151,8 @@ def check_dynamics_steady_consistency() -> CheckResult:
     return CheckResult(7, "dynamics-steady-consistency", ok,
                        f"plateau T {t_plateau:.5f} vs {steady.transmittance:.5f}"
                        f" (rel {dt:.2e}), CE {ce_plateau:.5f} vs "
-                       f"{steady.ce:.5f} (rel {dc:.2e}) over 90-110 us; "
+                       f"{steady.ce:.5f} (rel {dc:.2e}) over "
+                       f"{(end - 20e-6) * 1e6:.0f}-{end * 1e6:.0f} us; "
                        "limit 1e-02")
 
 
@@ -201,11 +204,8 @@ def check_balanced_drive() -> CheckResult:
 
 
 def check_bandwidth() -> CheckResult:
-    pre = figure_preset("fig4b")
-    peak = find_peak(run_sweep(pre.sweep))
-    det_base = DetuningSet(delta=khz_to_gamma(peak.value,
-                                              pre.medium.gamma_phys))
-    fwhm = bandwidth_fwhm(pre.medium, pre.drive, det_base)
+    """The FWHM `bandwidth --preset fig4b` prints."""
+    fwhm, _ = anchored_bandwidth(figure_preset("fig4b").sweep)
     ok = abs(fwhm - 0.8) <= 0.3 * 0.8
     return CheckResult(10, "conversion-bandwidth", ok,
                        f"FWHM {fwhm:.3f} MHz (want 0.8+-30%, i.e. "

@@ -9,7 +9,7 @@ as the acceptance report.
 import dataclasses
 import json
 
-from dlambda_fwm import validation
+from dlambda_fwm import DetuningSet, experiments, khz_to_gamma, validation
 
 
 def _run(check):
@@ -24,6 +24,33 @@ def test_check_results_are_json_clean():
     for r in validation.run_all():
         assert type(r.passed) is bool, r.name
         json.dumps(dataclasses.asdict(r))
+
+
+def test_checks_read_the_presets(monkeypatch):
+    # checks 2 and 5 test whatever experiments.PRESETS holds: double
+    # fig4a's optical depth (delta* halves), double fig3a's coupling
+    # (delta* quadruples) and move fig5c to -100 kHz
+    presets = experiments.PRESETS
+
+    def edit(name, **parts):
+        monkeypatch.setitem(presets, name,
+                            dataclasses.replace(presets[name], **parts))
+
+    dense, mot = presets["fig4a"], presets["fig3a"]
+    edit("fig4a", medium=dataclasses.replace(dense.medium,
+                                             alpha=2 * dense.medium.alpha))
+    edit("fig3a", drive=dataclasses.replace(mot.drive,
+                                            omega_c=2 * mot.drive.omega_c))
+    edit("fig5c", detuning=DetuningSet(delta=khz_to_gamma(-100.0)))
+    r2 = validation.check_optimal_detuning()
+    assert r2.detail == ("dense -13.99 kHz (want -28.0+-0.5, within 2 of "
+                         "-27), MOT -269.62 kHz (want -67+-1, within 5 of "
+                         "-70)")
+    assert not r2.passed
+    r5 = validation.check_phase_shifts()
+    assert r5.detail == ("phi(-27 kHz)=-0.1293 pi (want -0.129+-0.005), "
+                         "phi(-100 kHz)=-0.4789 pi (want -0.704+-0.005)")
+    assert not r5.passed
 
 
 def test_01_oracle_equivalence():

@@ -346,6 +346,23 @@ def test_pulse_slow_light(capsys):
     assert len(data) == 8001
 
 
+@pytest.mark.parametrize("alpha, resolved", [("20", True), ("75", False)])
+def test_pulse_roundoff_probe_has_no_delay(capsys, alpha, resolved):
+    # drive off: at alpha 75 the transmitted probe is FFT rounding (T_pulse
+    # ~eps**2), so no delay line and no tail flag; at alpha 20 (T_pulse
+    # 2e-9) the delay is printed, ~0 as the model's drive-off delay is 0
+    code, _, err = run(capsys, ["pulse", "--preset", "fig2a", "--set",
+                                "omega_c=0", "--set", f"alpha={alpha}"])
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[-1].startswith("T_pulse = ")
+    assert "[truncated tail]" not in err
+    assert len(lines) == (2 if resolved else 1)
+    if resolved:
+        key, _, value = lines[0].partition(" = ")
+        assert key == "group_delay_us" and abs(float(value)) < 1e-9
+
+
 def test_pulse_grid_error_exit_2(capsys):
     code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
                                 "--n-t", "4000"])

@@ -280,17 +280,29 @@ def test_group_delay_synthetic_shift():
 
 
 def test_group_delay_requires_energy():
-    tr = _synthetic_trace()
-    dead = PulseTrace(t=tr.t, probe_in=tr.probe_in,
-                      probe_out=np.zeros_like(tr.t),
-                      signal_out=tr.signal_out)
-    with pytest.raises(DomainError):
-        group_delay(dead)
+    tr = _synthetic_trace(shift_idx=40)
+    eps = np.finfo(float).eps
+    # no output, FFT rounding in an opaque medium (~eps**2 of the input
+    # energy) and anything up to the eps floor: no delay
+    for scale in (0.0, eps ** 2, 0.5 * eps):
+        dead = replace(tr, probe_out=scale * tr.probe_out)
+        with pytest.raises(DomainError, match="round-off floor"):
+            group_delay(dead)
+    faint = replace(tr, probe_out=4.0 * eps * tr.probe_out)
+    assert group_delay(faint) == pytest.approx(group_delay(tr), rel=1e-12)
 
 
 def test_energy_budget_flags_truncated_tail():
     assert not energy_budget(_synthetic_trace(shift_idx=40)).truncated
-    assert energy_budget(_synthetic_trace(shift_idx=40, tail=0.01)).truncated
+    tailed = _synthetic_trace(shift_idx=40, tail=0.01)
+    assert energy_budget(tailed).truncated
+    # the same tail on an output at or below the round-off floor is no
+    # light's: see test_group_delay_requires_energy
+    eps = np.finfo(float).eps
+    for scale, flagged in ((eps ** 2, False), (0.5 * eps, False),
+                           (4.0 * eps, True)):
+        faint = replace(tailed, probe_out=scale * tailed.probe_out)
+        assert energy_budget(faint).truncated is flagged
 
 
 def test_energy_budget_requires_input_energy():

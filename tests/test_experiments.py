@@ -161,6 +161,13 @@ def test_find_peak_recovers_exact_parabola():
     assert pk.value == pytest.approx(0.3, rel=1e-12)
     assert pk.ce == pytest.approx(1.0, rel=1e-12)
     assert not pk.boundary
+    # three equal maxima at the least subnormal CE: the refinement triple
+    # around the first, (0, tiny, tiny), is too flat for the parabola's
+    # denominator, which underflows to 0, so its middle grid point stays
+    tiny = 5e-324
+    pk = find_peak(_result_from([0.0, 0.25, 0.5, 0.75, 1.0],
+                                [0.0, tiny, tiny, tiny, 0.0]))
+    assert (pk.value, pk.ce, pk.boundary) == (0.25, tiny, False)
 
 
 def test_find_peak_boundary_flag():
@@ -199,9 +206,15 @@ def test_drive_sweep_peaks_at_matched_drive():
 
 def test_bandwidth_dense_optimum():
     pre = _fig4b()
-    base = DetuningSet(delta=khz_to_gamma(find_peak(run_sweep(pre.sweep)).value))
-    assert bandwidth_fwhm(pre.medium, pre.drive, base) == \
-        pytest.approx(1.6041330, abs=1e-4)
+    peak = find_peak(run_sweep(pre.sweep)).value
+    fwhm = bandwidth_fwhm(pre.medium, pre.drive,
+                          DetuningSet(delta=khz_to_gamma(peak)))
+    assert fwhm == pytest.approx(1.6041330, abs=1e-4)
+    # anchored_bandwidth is these three steps in one call, on delta sweeps
+    assert experiments.anchored_bandwidth(pre.sweep) == (fwhm, peak)
+    with pytest.raises(DomainError, match="needs a delta sweep, got "
+                       "'omega_d'"):
+        experiments.anchored_bandwidth(figure_preset("fig4a").sweep)
 
 
 def test_bandwidth_grows_with_drive():

@@ -90,6 +90,13 @@ def test_parse_config_overrides_win_and_carry_no_line():
     assert str(exc.value) == "alpha must be >= 0, got -1.0"
     with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         parse_config(doc, {"bogus": 1.0})
+    # an override passes a config line's key-and-number rule: what float()
+    # refuses is a ConfigError, not a ValueError or TypeError
+    for value, shown in (("abc", "'abc'"), (None, "None"),
+                         (1 + 2j, "(1+2j)")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc, {"alpha": value})
+        assert str(exc.value) == f"malformed number for key 'alpha': {shown}"
 
 
 def test_parse_config_gamma_phys_mhz_names_its_key():
