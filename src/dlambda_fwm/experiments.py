@@ -121,7 +121,10 @@ def run_sweep(s: SweepSpec) -> SweepResult:
 def find_peak(r: SweepResult) -> PeakResult:
     """Grid argmax of ce with three-point parabolic refinement.
 
-    Boundary maxima are returned unrefined with the boundary flag set.
+    Boundary maxima are returned unrefined with the boundary flag set.  A
+    plateau of three or more equal maxima returns its centre and its ce,
+    unrefined (the parabola through its first edge would overshoot); one
+    that runs into the last row is a boundary maximum there.
     """
     n = len(r.ce)
     if n < 3:
@@ -130,6 +133,14 @@ def find_peak(r: SweepResult) -> PeakResult:
     if i == 0 or i == n - 1:
         return PeakResult(value=float(r.value[i]), ce=float(r.ce[i]),
                           boundary=True)
+    below = np.flatnonzero(r.ce[i:] != r.ce[i])
+    j = i + (int(below[0]) if below.size else n - i) - 1   # the run's end
+    if j - i >= 2:
+        if j == n - 1:
+            return PeakResult(value=float(r.value[j]), ce=float(r.ce[j]),
+                              boundary=True)
+        return PeakResult(value=0.5 * float(r.value[i] + r.value[j]),
+                          ce=float(r.ce[i]), boundary=False)
     x0, x1, x2 = r.value[i - 1:i + 2].tolist()
     y0, y1, y2 = r.ce[i - 1:i + 2].tolist()
     num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
@@ -294,8 +305,8 @@ def _render_dataset(meta: dict, columns: tuple, data: tuple, format: str):
     yield "\n".join(lines) + "\n"
     row = ",".join([NUMBER] * len(columns)) + "\n"
     for i in range(0, len(data[0]), CSV_BLOCK_ROWS):
-        block = zip(*(c[i:i + CSV_BLOCK_ROWS].tolist() for c in data))
-        yield "".join([row % r for r in block])
+        block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in data])
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def sweep_blocks(r: SweepResult, format: str = "csv"):

@@ -35,12 +35,14 @@ at dkL = delta = 0 (phase-matched and resonant) is an ordinary point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError, FwmError, RegimeError
 from .params import MediumParams, SteadyResult, gamma_to_khz
 
 #: the floating-point conditions the steady kernels tolerate, as the one
@@ -49,6 +51,32 @@ from .params import MediumParams, SteadyResult, gamma_to_khz
 #: only as a decorator: that form keeps its state per call, so decorated
 #: functions may nest, where a second ``with`` on it would raise.
 _TOLERATED = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _expm1(z: complex) -> complex:
+    """e^z - 1 for a Python complex, which cmath lacks: the real part is
+    (e^x - 1) cos y - 2 sin^2(y/2), with no cancellation as z -> 0."""
+    x, y = z.real, z.imag
+    h = math.sin(0.5 * y)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * h * h,
+                   math.exp(x) * math.sin(y))
+
+
+#: the elementary functions the kernels are written in, one set per kind
+#: of input: numpy's ufuncs for arrays; cmath and math for Python floats,
+#: which keep a scalar call in Python complex arithmetic, a fraction of
+#: the cost of numpy's 0-d path.  ``number`` takes a numpy quotient into
+#: the set's numbers: both paths divide the Schur gains the grid's way.
+_UFUNCS = SimpleNamespace(sqrt=np.sqrt, exp=np.exp, expm1=np.expm1,
+                          tanh=np.tanh, log=np.log, number=lambda x: x)
+_CMATH = SimpleNamespace(sqrt=cmath.sqrt, exp=cmath.exp, expm1=_expm1,
+                         tanh=cmath.tanh, log=math.log, number=complex)
+
+#: what a scalar kernel may raise where the ufuncs compute on (a math
+#: range error, x/0, an input float() refuses), or a check may raise on
+#: its result: the scalar entry points then evaluate the point as given
+#: on the ufuncs, whose error or result is the answer
+_REJUDGED = (ArithmeticError, TypeError, ValueError, FwmError)
 
 
 @dataclass(frozen=True)
@@ -101,18 +129,19 @@ def _aux(alpha, delta_kL, omega, delta) -> tuple:
 
 
 @_TOLERATED
-def _amplitudes(alpha, delta_kL, omega, delta) -> tuple:
-    """Closed-form (probe_out, signal_out) on scalars or broadcast arrays;
-    the caller checks the regime and, as for the exact kernel, that the
-    amplitudes are finite (a huge omega overflows to NaN)."""
+def _amplitudes(alpha, delta_kL, omega, delta, fn=_UFUNCS) -> tuple:
+    """Closed-form (probe_out, signal_out) on broadcast arrays, or on
+    Python scalars with fn=_CMATH; the caller checks the regime and, as
+    for the exact kernel, that the amplitudes are finite (a huge omega
+    overflows to NaN)."""
     _, kappa, beta2, c = _aux(alpha, delta_kL, omega, delta)
-    ib = -np.sqrt(-beta2)      # i*beta for the root with Im(beta) >= 0
-    em = np.expm1(ib)          # w - 1
+    ib = -fn.sqrt(-beta2)      # i*beta for the root with Im(beta) >= 0
+    em = fn.expm1(ib)          # w - 1
     one_w = 2.0 + em           # 1 + w
     # f = (1 - w)/beta = -i*em/ib; at ib = 0 both get 1 added: f(0) = -i
     zero = ib == 0.0
     f = -1j * (em + zero) / (ib + zero)
-    probe = (2.0 * c * np.exp(0.5 * ib - 0.5j * delta_kL)
+    probe = (2.0 * c * fn.exp(0.5 * ib - 0.5j * delta_kL)
              / (c * one_w + 0.5j * kappa * f))
     signal = alpha * f / (kappa * f - 2.0j * c * one_w)
     return probe, signal
@@ -132,8 +161,15 @@ def steady_closed_form(m: MediumParams, omega: float,
     Raises the error of regime_error outside the balanced lossless regime.
     """
     _require_regime(m, omega, omega)
-    probe, signal = _amplitudes(m.alpha, m.delta_kL, omega, delta)
-    return SteadyResult(complex(probe), complex(signal))
+    try:
+        return SteadyResult(*_amplitudes(
+            float(m.alpha), float(m.delta_kL), float(omega), float(delta),
+            _CMATH))
+    except _REJUDGED:
+        # the array kernel judges the point as given: its error, or its
+        # result
+        probe, signal = _amplitudes(m.alpha, m.delta_kL, omega, delta)
+        return SteadyResult(complex(probe), complex(signal))
 
 
 def optimal_delta(m: MediumParams, omega: float) -> OptimalDelta:

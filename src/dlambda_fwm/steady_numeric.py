@@ -6,14 +6,23 @@ optical coherences (Schur complement of the 3x3 coherence system) leaves
 rho21 = -(c2*Op + c3*Os)/c1 and the field equations d/dz (Op, Os) =
 M (Op, Os), a 2-point boundary value problem with Op(0) = Op0 and
 Os(L) = 0 (the signal builds up backwards), solved in a ratio form that
-needs no matrix exponential.  One array kernel does both, with no branch
-and no np.where: its two singular points (c1 = 0, s = 0) are masked with
-arithmetic.  transfer_solve wraps it, and solve_grid evaluates it on a
-parameter grid for sweeps, the bandwidth scan and the pulse propagator;
-linear_response and coupling_matrix return the elimination's two halves
-(the coherences' 3x2 response and M*L) at one point.
+needs no matrix exponential.  One kernel does both, with no branch and
+no np.where: its two singular points (c1 = 0, s = 0) are masked with
+arithmetic.  solve_grid evaluates it on numpy arrays, a parameter grid
+for sweeps, the bandwidth scan and the pulse propagator; linear_response
+and coupling_matrix return the elimination's two halves (the coherences'
+3x2 response and M*L) at one point.
 The signal it returns is a photon-number amplitude: CE = |signal_out|^2
 counts signal photons per probe photon, also when gamma31 != gamma41.
+
+transfer_solve evaluates the same formula on Python floats in Python
+complex arithmetic (cmath and math in place of numpy's ufuncs, see
+steady_analytic._CMATH), and steady_closed_form does the same with the
+closed form.  Where that arithmetic raises (a math range error, x/0) or
+its result fails the checks, the point is evaluated again on numpy's
+ufuncs, whose error, class and message, or result is returned.  So
+only successful results may differ from solve_grid's, and only in the
+last bits, within the bounds the tests set.
 
 Both steady modules run their kernels under one floating-point error
 state, steady_analytic._TOLERATED: divide, invalid and over are ignored,
@@ -33,19 +42,24 @@ import numpy as np
 from .errors import BoundarySolveError, DomainError, located
 from .params import (PASSIVITY_SLACK, DetuningSet, DriveParams, MediumParams,
                      SteadyResult, replace_param)
-from .steady_analytic import _TOLERATED, _amplitudes, _require_regime
+from .steady_analytic import (_CMATH, _REJUDGED, _TOLERATED, _UFUNCS,
+                              _amplitudes, _require_regime)
 
 #: log of the smallest |T[1,1]| the boundary solve accepts
 LOG_T11_MIN = math.log(1e-14)
 _LOG_2 = math.log(2.0)
 
 
-def _point(m: MediumParams, d: DriveParams, det: DetuningSet) -> dict:
-    """Kernel parameters of one point; array values make a grid."""
-    return {"alpha": m.alpha, "gamma21": m.gamma21, "gamma31": m.gamma31,
-            "gamma41": m.gamma41, "delta_kL": m.delta_kL,
-            "omega_c": d.omega_c, "omega_d": d.omega_d, "delta": det.delta,
-            "delta_p": det.delta_p, "Delta": det.Delta}
+def _point(m: MediumParams, d: DriveParams, det: DetuningSet,
+           number=lambda x: x) -> dict:
+    """Kernel parameters of one point, each through ``number``: as given,
+    or float for the scalar kernel, where a numpy.float64 field then
+    computes as the equal float.  Array values make a grid."""
+    return {"alpha": number(m.alpha), "gamma21": number(m.gamma21),
+            "gamma31": number(m.gamma31), "gamma41": number(m.gamma41),
+            "delta_kL": number(m.delta_kL), "omega_c": number(d.omega_c),
+            "omega_d": number(d.omega_d), "delta": number(det.delta),
+            "delta_p": number(det.delta_p), "Delta": number(det.Delta)}
 
 
 def _coefficients(*, alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
@@ -75,7 +89,7 @@ def _coefficients(*, alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
     return d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s
 
 
-def _eliminate(p: dict) -> tuple:
+def _eliminate(p: dict, fn=_UFUNCS) -> tuple:
     """(d31, d41, g_p, g_s, (m00, m01, m10, m11)): rho21 = g_p*Op + g_s*Os
     and the entries of M*L.
 
@@ -83,18 +97,20 @@ def _eliminate(p: dict) -> tuple:
     off (and gamma21 = delta = 0), where c2 = c3 = 0 and rho21 = 0.
     """
     d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**p)
-    # np.complex128, not a Python complex: a scalar call stays in numpy
-    # arithmetic, which rounds as the grid does (an array passes through
-    # uncopied, and a 0-d np.add would cost twice as much)
+    # the gains are divided in numpy on every path, as the grid rounds
+    # them: s^2 cancels their products, and Python's complex division
+    # would move a scalar call's probe_out by 1e-13 (np.complex128 passes
+    # an array through uncopied); fn.number then takes a scalar out of numpy
     c1 = np.complex128(c1) + (c1 == 0)
-    g_p, g_s = -c2 / c1, -c3 / c1
+    g_p, g_s = fn.number(-c2 / c1), fn.number(-c3 / c1)
     return d31, d41, g_p, g_s, (a_p + b_p * g_p, b_p * g_s,
                                 b_s * g_p, a_s + b_s * g_s)
 
 
 @_TOLERATED
-def _transfer(p: dict) -> tuple:
-    """The kernel: (probe_out, signal_out, log|T[1,1]|) on parameter arrays.
+def _transfer(p: dict, fn=_UFUNCS) -> tuple:
+    """The kernel: (probe_out, signal_out, log|T[1,1]|) on parameter
+    arrays, or on Python floats with fn=_CMATH.
 
     With T = exp(M), mu = tr(M)/2, N = M - mu*I and s = sqrt(-det N)
     (Re s >= 0), T = e^mu (cosh(s) I + sinh(s)/s N), so the boundary
@@ -113,20 +129,20 @@ def _transfer(p: dict) -> tuple:
     sqrt(gamma31/gamma41) * Os(0)/Op0 (the factor is exactly 1 at
     gamma31 = gamma41); then T + CE <= 1 for any decay rates.
     """
-    m00, m01, m10, m11 = _eliminate(p)[4]
+    m00, m01, m10, m11 = _eliminate(p, fn)[4]
     mu = 0.5 * (m00 + m11)
     n11 = 0.5 * (m11 - m00)
-    s = np.sqrt(n11 * n11 + m01 * m10)      # principal root: Re s >= 0
+    s = fn.sqrt(n11 * n11 + m01 * m10)      # principal root: Re s >= 0
     # th(0) = 1: at s = 0 both get 1 added
     zero = s == 0.0
-    th = (np.tanh(s) + zero) / (s + zero)
+    th = (fn.tanh(s) + zero) / (s + zero)
     den = 1.0 + th * n11
-    q = (1.0 + np.exp(-2.0 * s)) * den      # 2 e^(-s) cosh(s) den
+    q = (1.0 + fn.exp(-2.0 * s)) * den      # 2 e^(-s) cosh(s) den
     # sign and photon-number factor meet as scalars, before th
     signal = -(p["gamma31"] / p["gamma41"]) ** 0.5 * th * m10 / den
-    probe = 2.0 * np.exp(mu - s) / q
+    probe = 2.0 * fn.exp(mu - s) / q
     # log|T11| = Re mu + log|cosh s| + log|den|
-    log_t11 = mu.real + s.real - _LOG_2 + np.log(abs(q))
+    log_t11 = mu.real + s.real - _LOG_2 + fn.log(abs(q))
     return probe, signal, log_t11
 
 
@@ -257,4 +273,9 @@ def transfer_solve(d: DriveParams, det: DetuningSet,
     form.  Raises BoundarySolveError when |T[1,1]| < 1e-14
     (perfect-reflection resonance).
     """
-    return _result(*_transfer(_point(m, d, det)))
+    try:
+        return _result(*_transfer(_point(m, d, det, float), _CMATH))
+    except _REJUDGED:
+        # the array kernel judges the point as given: its error, or its
+        # result
+        return _result(*_transfer(_point(m, d, det)))

@@ -161,13 +161,34 @@ def test_find_peak_recovers_exact_parabola():
     assert pk.value == pytest.approx(0.3, rel=1e-12)
     assert pk.ce == pytest.approx(1.0, rel=1e-12)
     assert not pk.boundary
-    # three equal maxima at the least subnormal CE: the refinement triple
-    # around the first, (0, tiny, tiny), is too flat for the parabola's
-    # denominator, which underflows to 0, so its middle grid point stays
+    # two equal maxima keep the parabola, which recovers their vertex
+    xs = [0.0, 1.0, 2.0, 3.0]
+    pk = find_peak(_result_from(xs, [1 - (x - 1.5) ** 2 for x in xs]))
+    assert (pk.value, pk.ce, pk.boundary) == (1.5, 1.0, False)
+    # two equal maxima at the least subnormal CE: the refinement triple
+    # (0, tiny, tiny) is too flat for the parabola's denominator, which
+    # underflows to 0, so its middle grid point stays
+    tiny = 5e-324
+    pk = find_peak(_result_from([0.0, 0.25, 0.5, 0.75],
+                                [0.0, tiny, tiny, 0.0]))
+    assert (pk.value, pk.ce, pk.boundary) == (0.25, tiny, False)
+
+
+def test_find_peak_plateau_returns_its_centre():
+    # the parabola through a plateau's first edge (0.1, 0.5, 0.5) peaks
+    # at 1.5 with ce 0.55, above every sample; the plateau's centre stays
+    xs = [0.0, 1.0, 2.0, 3.0, 4.0]
+    pk = find_peak(_result_from(xs, [0.1, 0.5, 0.5, 0.5, 0.1]))
+    assert (pk.value, pk.ce, pk.boundary) == (2.0, 0.5, False)
+    pk = find_peak(_result_from(xs + [5.0], [0.1, 0.5, 0.5, 0.5, 0.5, 0.1]))
+    assert (pk.value, pk.ce, pk.boundary) == (2.5, 0.5, False)
     tiny = 5e-324
     pk = find_peak(_result_from([0.0, 0.25, 0.5, 0.75, 1.0],
                                 [0.0, tiny, tiny, tiny, 0.0]))
-    assert (pk.value, pk.ce, pk.boundary) == (0.25, tiny, False)
+    assert (pk.value, pk.ce, pk.boundary) == (0.5, tiny, False)
+    # a plateau that runs into the last row is a boundary maximum there
+    pk = find_peak(_result_from(xs, [0.1, 0.2, 0.5, 0.5, 0.5]))
+    assert (pk.value, pk.ce, pk.boundary) == (4.0, 0.5, True)
 
 
 def test_find_peak_boundary_flag():

@@ -8,13 +8,14 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dlambda_fwm import (BoundarySolveError, DetuningSet, DriveParams,
                          FwmError, MediumParams, PulseSpec, coupling_matrix,
-                         linear_response, simulate_pulse, steady_closed_form,
-                         transfer_solve)
+                         linear_response, simulate_pulse, solve_grid,
+                         steady_closed_form, transfer_solve)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -144,6 +145,24 @@ def _steady_ok(r):
             and r.transmittance + r.ce <= 1.0 + 1e-9)
 
 
+def _agree_with_grid(call, grid):
+    """The scalar call() and the one-point grid() raise the same error,
+    class and message, or give amplitudes equal to 1e-12 relative: the
+    scalar path computes in Python complex arithmetic and hands every
+    failure to the array kernel."""
+    try:
+        r = call()
+    except FwmError as exc:
+        with pytest.raises(FwmError) as grid_exc:
+            grid()
+        assert (type(grid_exc.value), str(grid_exc.value)) == \
+            (type(exc), str(exc))
+        return
+    probe, signal = grid()
+    assert abs(r.probe_out - probe) <= 1e-12 * abs(probe)
+    assert abs(r.signal_out - signal) <= 1e-12 * abs(signal)
+
+
 @settings(PROPERTY, max_examples=200)
 @given(extreme_points())
 def test_extreme_inputs_give_finite_passive_results_or_typed_errors(point):
@@ -159,3 +178,9 @@ def test_extreme_inputs_give_finite_passive_results_or_typed_errors(point):
     mc = MediumParams(alpha=m.alpha, delta_kL=m.delta_kL)
     _typed_or_finite(lambda: steady_closed_form(mc, d.omega_c, det.delta),
                      _steady_ok)
+    _agree_with_grid(lambda: transfer_solve(d, det, m),
+                     lambda: solve_grid(m, d, det))
+    _agree_with_grid(
+        lambda: steady_closed_form(mc, d.omega_c, det.delta),
+        lambda: solve_grid(mc, DriveParams(d.omega_c, d.omega_c),
+                           DetuningSet(delta=det.delta), closed_form=True))

@@ -268,6 +268,23 @@ def test_transfer_passivity_unequal_decay_rates():
     assert r.signal_out == pytest.approx(-0.5 * t[1, 0] / t[1, 1], rel=1e-9)
 
 
+def test_numpy_float_fields_solve_as_python_floats():
+    # scalar solves take their inputs as Python floats at entry, so a
+    # numpy.float64 field (what numpy's random draws hand out) gives the
+    # result of the equal float, bit for bit
+    m = MediumParams(alpha=130.0, gamma21=7e-4, delta_kL=0.134 * math.pi)
+    d, det = DriveParams(1.2, 1.1), DetuningSet(-0.003, 0.1, -0.2)
+    m64, d64, det64 = (type(x)(**{k: np.float64(v) for k, v in
+                                  vars(x).items()}) for x in (m, d, det))
+    assert type(m64.alpha) is np.float64
+    assert transfer_solve(d64, det64, m64) == transfer_solve(d, det, m)
+    mc = MediumParams(alpha=130.0, delta_kL=0.134 * math.pi)
+    mc64 = MediumParams(alpha=np.float64(130.0),
+                        delta_kL=np.float64(0.134 * math.pi))
+    assert (steady_closed_form(mc64, np.float64(1.2), np.float64(-0.003))
+            == steady_closed_form(mc, 1.2, -0.003))
+
+
 # --- solve_grid --------------------------------------------------------------
 
 DENSE = (MediumParams(alpha=130.0, gamma21=7e-4),
