@@ -164,7 +164,7 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
     PulseSpec itself caps the time grid at 10**6 steps.
     """
     t = p.times()
-    dt = (t[1] - t[0]) * m.gamma_phys          # Gamma units
+    dt = float(t[1] - t[0]) * m.gamma_phys     # Gamma units
     if dt > DT_GAMMA_LIMIT + 1e-12:
         raise GridError(
             f"time step too coarse: dt*Gamma = {dt:.4g} > "
@@ -179,14 +179,20 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
 
     u = p.amplitude(t)
     n_pad = 1 << (2 * len(t) - 1).bit_length()
+    # the bins' spacing, Gamma units; with a Gamma near the smallest
+    # float, dt*Gamma (nearly) underflows and the outer bins' delta -
+    # omega would overflow
+    dw = 2.0 * math.pi / (n_pad * dt) if dt > 0.0 else math.inf
+    if math.isinf(abs(det.delta) + dw * (n_pad // 2)):
+        raise GridError(f"time step too fine: dt*Gamma = {dt:.4g} puts the "
+                        "frequency grid beyond the float range")
     spec_p = np.fft.fft(u, n_pad)
     spec_s = np.empty_like(spec_p)
     for k in range(0, n_pad, KERNEL_CHUNK):
         chunk = slice(k, min(k + KERNEL_CHUNK, n_pad))
         # the bins' angular frequencies in np.fft.fftfreq order, Gamma units
         j = np.arange(chunk.start, chunk.stop)
-        omega = 2.0 * np.pi / (n_pad * dt) * np.where(j < n_pad // 2, j,
-                                                      j - n_pad)
+        omega = dw * np.where(j < n_pad // 2, j, j - n_pad)
         h_p, h_s = solve_grid(m, d, det, {"omega": omega},
                               delta=det.delta - omega)
         spec_s[chunk] = h_s * spec_p[chunk]

@@ -59,6 +59,15 @@ class SweepSpec:
                             f"{MAX_SWEEP_POINTS}")
         if g.size > 1 and not (np.all(np.diff(g) > 0) or np.all(np.diff(g) < 0)):
             raise DomainError("sweep grid must be strictly monotonic")
+        if SWEEP_VARIABLES[self.variable] == "kHz":
+            # monotonic, so the ends are the extremes
+            for end in (float(g[0]), float(g[-1])):
+                if math.isfinite(end) and math.isinf(
+                        khz_to_gamma(end, self.medium.gamma_phys)):
+                    raise DomainError(
+                        f"sweep grid end {self.variable} = {end} kHz "
+                        "overflows in Gamma units (gamma_phys = "
+                        f"{self.medium.gamma_phys:.6g} rad/s)")
         object.__setattr__(self, "grid", g)
 
 

@@ -69,6 +69,11 @@ class MediumParams:
             raise DomainError(f"gamma31 must be > 0, got {self.gamma31}")
         if not (self.gamma41 > 0.0):
             raise DomainError(f"gamma41 must be > 0, got {self.gamma41}")
+        # the kernels divide by gamma/2 - i*detuning, 0 at resonance
+        for name in ("gamma31", "gamma41"):
+            if getattr(self, name) / 2.0 == 0.0:
+                raise DomainError(f"{name} = {getattr(self, name)} is too "
+                                  "small: its half underflows to 0")
         if not (self.gamma_phys > 0.0):
             raise DomainError(f"gamma_phys must be > 0, got {self.gamma_phys}")
 

@@ -45,12 +45,14 @@ import numpy as np
 from .errors import DomainError, FwmError, RegimeError
 from .params import MediumParams, SteadyResult, gamma_to_khz
 
-#: the floating-point conditions the steady kernels tolerate, as the one
-#: decorator that sets them: an overflow, 0/0 or x/0 becomes inf or NaN,
-#: which the caller's finiteness check turns into a typed error.  Use it
+#: the floating-point conditions the array kernels tolerate, as the one
+#: decorator that sets them on each array entry point: an overflow, 0/0
+#: or x/0 becomes inf or NaN, which the caller's finiteness check turns
+#: into a typed error, and an underflow a zero, whatever np.geterr() the
+#: caller set.  The scalar path calls no numpy and needs none.  Use it
 #: only as a decorator: that form keeps its state per call, so decorated
 #: functions may nest, where a second ``with`` on it would raise.
-_TOLERATED = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+_TOLERATED = np.errstate(all="ignore")
 
 
 def _expm1(z: complex) -> complex:
@@ -62,21 +64,64 @@ def _expm1(z: complex) -> complex:
                    math.exp(x) * math.sin(y))
 
 
+def _ufunc_gains(c1, c2, c3) -> tuple:
+    """The Schur gains (-c2/c1, -c3/c1) in numpy's complex division, with
+    c1 = 0 (both drives off, where c2 = c3 = 0) masked to 1.
+    np.complex128 passes an array through uncopied and keeps Python
+    floats (solve_grid with no axes, linear_response) in numpy."""
+    c1 = np.complex128(c1) + (c1 == 0)
+    return -c2 / c1, -c3 / c1
+
+
+def _python_gains(c1: complex, c2: complex, c3: complex) -> tuple:
+    """_ufunc_gains on Python complex numbers, bit for bit: numpy's
+    complex128 division (Smith's algorithm, times the reciprocal scl
+    where Python's own complex division divides, which would move
+    probe_out by ~1e-13), one rat and scl for both gains.  The mask and
+    the negations are the grid's arithmetic, which sets signed zeros.  A
+    NaN c1 with a zero imaginary part raises ZeroDivisionError, which the
+    scalar entry points re-judge."""
+    c1 = c1 + (c1 == 0)
+    n2, n3 = -c2, -c3
+    br, bi = c1.real, c1.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return (complex((n2.real + n2.imag * rat) * scl,
+                        (n2.imag - n2.real * rat) * scl),
+                complex((n3.real + n3.imag * rat) * scl,
+                        (n3.imag - n3.real * rat) * scl))
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return (complex((n2.real * rat + n2.imag) * scl,
+                    (n2.imag * rat - n2.real) * scl),
+            complex((n3.real * rat + n3.imag) * scl,
+                    (n3.imag * rat - n3.real) * scl))
+
+
 #: the elementary functions the kernels are written in, one set per kind
-#: of input: numpy's ufuncs for arrays; cmath and math for Python floats,
-#: which keep a scalar call in Python complex arithmetic, a fraction of
-#: the cost of numpy's 0-d path.  ``number`` takes a numpy quotient into
-#: the set's numbers: both paths divide the Schur gains the grid's way.
+#: of input: numpy's ufuncs for arrays; cmath, math and a copy of numpy's
+#: complex division for Python floats, which keep a scalar call out of
+#: numpy, a fraction of the cost of numpy's 0-d path.  ``gains`` divides
+#: the Schur gains: both sets round them as the grid does.
 _UFUNCS = SimpleNamespace(sqrt=np.sqrt, exp=np.exp, expm1=np.expm1,
-                          tanh=np.tanh, log=np.log, number=lambda x: x)
+                          tanh=np.tanh, log=np.log, gains=_ufunc_gains)
 _CMATH = SimpleNamespace(sqrt=cmath.sqrt, exp=cmath.exp, expm1=_expm1,
-                         tanh=cmath.tanh, log=math.log, number=complex)
+                         tanh=cmath.tanh, log=math.log, gains=_python_gains)
 
 #: what a scalar kernel may raise where the ufuncs compute on (a math
 #: range error, x/0, an input float() refuses), or a check may raise on
 #: its result: the scalar entry points then evaluate the point as given
 #: on the ufuncs, whose error or result is the answer
 _REJUDGED = (ArithmeticError, TypeError, ValueError, FwmError)
+
+
+@_TOLERATED
+def _rejudge(kernel, *args) -> tuple:
+    """kernel(*args) on the ufuncs under the array paths' error state:
+    how the scalar entry points evaluate a point their Python path
+    refused."""
+    return kernel(*args)
 
 
 @dataclass(frozen=True)
@@ -128,7 +173,6 @@ def _aux(alpha, delta_kL, omega, delta) -> tuple:
     return xi, kappa, beta2, 1.0 - 1j * delta / w2
 
 
-@_TOLERATED
 def _amplitudes(alpha, delta_kL, omega, delta, fn=_UFUNCS) -> tuple:
     """Closed-form (probe_out, signal_out) on broadcast arrays, or on
     Python scalars with fn=_CMATH; the caller checks the regime and, as
@@ -168,7 +212,8 @@ def steady_closed_form(m: MediumParams, omega: float,
     except _REJUDGED:
         # the array kernel judges the point as given: its error, or its
         # result
-        probe, signal = _amplitudes(m.alpha, m.delta_kL, omega, delta)
+        probe, signal = _rejudge(_amplitudes, m.alpha, m.delta_kL, omega,
+                                 delta)
         return SteadyResult(complex(probe), complex(signal))
 
 

@@ -15,22 +15,24 @@ and coupling_matrix return the elimination's two halves (the coherences'
 The signal it returns is a photon-number amplitude: CE = |signal_out|^2
 counts signal photons per probe photon, also when gamma31 != gamma41.
 
-transfer_solve evaluates the same formula on Python floats in Python
-complex arithmetic (cmath and math in place of numpy's ufuncs, see
-steady_analytic._CMATH), and steady_closed_form does the same with the
+transfer_solve evaluates the same formula on Python floats and calls no
+numpy: cmath and math stand in for numpy's ufuncs, and a copy of numpy's
+complex division divides the Schur gains bit for bit as the grid does
+(see steady_analytic._CMATH); steady_closed_form does the same with the
 closed form.  Where that arithmetic raises (a math range error, x/0) or
 its result fails the checks, the point is evaluated again on numpy's
 ufuncs, whose error, class and message, or result is returned.  So
 only successful results may differ from solve_grid's, and only in the
 last bits, within the bounds the tests set.
 
-Both steady modules run their kernels under one floating-point error
-state, steady_analytic._TOLERATED: divide, invalid and over are ignored,
+The array entry points (solve_grid, linear_response, coupling_matrix
+and the scalar calls' re-evaluation) run under one floating-point error
+state, steady_analytic._TOLERATED: every floating-point error is ignored,
 so an overflow or 0/0 comes out as inf or NaN, and the finiteness checks
 turn it into a DomainError; the caller's np.geterr() is left as it was.
-It is one module-level np.errstate used as a decorator, which costs about
-half of building and entering a fresh one per call (the README gives the
-per-call timings).
+It is one module-level np.errstate used as a decorator, entered once per
+call (the README gives the per-call timings).  A scalar call that
+succeeds never enters it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import BoundarySolveError, DomainError, located
 from .params import (PASSIVITY_SLACK, DetuningSet, DriveParams, MediumParams,
                      SteadyResult, replace_param)
 from .steady_analytic import (_CMATH, _REJUDGED, _TOLERATED, _UFUNCS,
-                              _amplitudes, _require_regime)
+                              _amplitudes, _rejudge, _require_regime)
 
 #: log of the smallest |T[1,1]| the boundary solve accepts
 LOG_T11_MIN = math.log(1e-14)
@@ -54,7 +56,8 @@ def _point(m: MediumParams, d: DriveParams, det: DetuningSet,
            number=lambda x: x) -> dict:
     """Kernel parameters of one point, each through ``number``: as given,
     or float for the scalar kernel, where a numpy.float64 field then
-    computes as the equal float.  Array values make a grid."""
+    computes as the equal float.  Array values make a grid.  The keys are
+    in _coefficients' parameter order, which takes them positionally."""
     return {"alpha": number(m.alpha), "gamma21": number(m.gamma21),
             "gamma31": number(m.gamma31), "gamma41": number(m.gamma41),
             "delta_kL": number(m.delta_kL), "omega_c": number(d.omega_c),
@@ -62,7 +65,7 @@ def _point(m: MediumParams, d: DriveParams, det: DetuningSet,
             "delta_p": number(det.delta_p), "Delta": number(det.Delta)}
 
 
-def _coefficients(*, alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
+def _coefficients(alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
                   omega_d, delta, delta_p, Delta) -> tuple:
     """(d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s) of the reduced model
 
@@ -96,18 +99,14 @@ def _eliminate(p: dict, fn=_UFUNCS) -> tuple:
     Re c1 < 0 whenever a drive is on, so c1 vanishes only with both drives
     off (and gamma21 = delta = 0), where c2 = c3 = 0 and rho21 = 0.
     """
-    d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**p)
-    # the gains are divided in numpy on every path, as the grid rounds
-    # them: s^2 cancels their products, and Python's complex division
-    # would move a scalar call's probe_out by 1e-13 (np.complex128 passes
-    # an array through uncopied); fn.number then takes a scalar out of numpy
-    c1 = np.complex128(c1) + (c1 == 0)
-    g_p, g_s = fn.number(-c2 / c1), fn.number(-c3 / c1)
+    d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(*p.values())
+    # every path rounds the gains as the grid does (numpy's division):
+    # s^2 cancels their products
+    g_p, g_s = fn.gains(c1, c2, c3)
     return d31, d41, g_p, g_s, (a_p + b_p * g_p, b_p * g_s,
                                 b_s * g_p, a_s + b_s * g_s)
 
 
-@_TOLERATED
 def _transfer(p: dict, fn=_UFUNCS) -> tuple:
     """The kernel: (probe_out, signal_out, log|T[1,1]|) on parameter
     arrays, or on Python floats with fn=_CMATH.
@@ -198,6 +197,7 @@ def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
                                 det.Delta)
 
 
+@_TOLERATED
 def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
                at: dict | None = None, *, closed_form=False, **axes) -> tuple:
     """(probe_out, signal_out) amplitudes on a parameter grid: exact, or
@@ -278,4 +278,4 @@ def transfer_solve(d: DriveParams, det: DetuningSet,
     except _REJUDGED:
         # the array kernel judges the point as given: its error, or its
         # result
-        return _result(*_transfer(_point(m, d, det)))
+        return _result(*_rejudge(_transfer, _point(m, d, det)))

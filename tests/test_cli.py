@@ -383,6 +383,39 @@ def test_pulse_grid_error_prints_huge_values_short(capsys, setting, message):
     assert err.startswith(message) and len(err) < 200
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady", "--preset", "fig4b"], ["sweep", "--preset", "fig4b"],
+    ["pulse", "--preset", "fig5a"], ["pulse", "--preset", "fig2a"]],
+    ids=["steady", "sweep", "pulse-fig5a", "pulse-fig2a"])
+@pytest.mark.parametrize("key", ["gamma31", "gamma41"])
+def test_decay_rate_half_underflow_exit_2(capsys, argv, key):
+    # was a ZeroDivisionError traceback from the kernel's 1/(4*d31)
+    code, out, err = run(capsys, [*argv, "--set", f"{key}=5e-324"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} = 5e-324 is too small: its half underflows " \
+                  "to 0\n"
+
+
+def test_tiny_gamma_beyond_the_float_range_exit_2(capsys):
+    # a Gamma so small that the sweep's kHz grid or the pulse's FFT
+    # frequencies overflow in Gamma units is a typed error, not a leaked
+    # numpy overflow warning
+    code, out, err = run(capsys, ["sweep", "--preset", "fig4b", "--set",
+                                  "gamma_phys_mhz=5e-324", "--set",
+                                  "delta_khz=0"])
+    assert (code, out) == (2, "")
+    assert err == ("error: sweep grid end delta = -200.0 kHz overflows in "
+                   "Gamma units (gamma_phys = 2.96439e-317 rad/s)\n")
+    code, out, err = run(capsys, ["pulse", "--preset", "fig5a",
+                                  "--set", "alpha=0",
+                                  "--set", "gamma_phys_mhz=2.2e-308",
+                                  "--duration-us", "0.5", "--t-start-us",
+                                  "0.5", "--t-max-us", "12", "--n-t", "1000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: time step too fine: dt*Gamma = ")
+    assert err.endswith(" puts the frequency grid beyond the float range\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag, value, message", [
     ("--t-start-us", "nan", "t_start must be finite"),

@@ -184,6 +184,23 @@ def test_medium_invariants(kwargs):
         MediumParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["gamma31", "gamma41"])
+def test_decay_rate_whose_half_underflows_is_refused(name):
+    # the kernels divide by gamma/2 - i*detuning, which is 0 at resonance
+    # when the half underflows: refused at the source, naming the field
+    with pytest.raises(DomainError) as exc:
+        MediumParams(alpha=1.0, **{name: 5e-324})
+    assert str(exc.value) == (f"{name} = 5e-324 is too small: its half "
+                              "underflows to 0")
+    # the smallest rate with a nonzero half is valid
+    assert getattr(MediumParams(alpha=1.0, **{name: 1e-323}), name) == 1e-323
+    # parse_config names the key and its line
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"alpha = 1\nomega_c = 1\n{name} = 5e-324\n")
+    assert str(exc.value) == (f"{name} = 5e-324 is too small: its half "
+                              f"underflows to 0 (key '{name}' set on line 3)")
+
+
 def test_drive_invariants():
     with pytest.raises(DomainError):
         DriveParams(omega_c=-0.5)

@@ -4,6 +4,8 @@ Derandomized with no deadline, so every run draws the same examples.
 """
 
 import cmath
+import contextlib
+import io
 import math
 from dataclasses import replace
 
@@ -16,6 +18,8 @@ from dlambda_fwm import (BoundarySolveError, DetuningSet, DriveParams,
                          FwmError, MediumParams, PulseSpec, coupling_matrix,
                          linear_response, simulate_pulse, solve_grid,
                          steady_closed_form, transfer_solve)
+from dlambda_fwm.cli import main
+from dlambda_fwm.params import CONFIG_KEYS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -184,3 +188,44 @@ def test_extreme_inputs_give_finite_passive_results_or_typed_errors(point):
         lambda: steady_closed_form(mc, d.omega_c, det.delta),
         lambda: solve_grid(mc, DriveParams(d.omega_c, d.omega_c),
                            DetuningSet(delta=det.delta), closed_form=True))
+
+
+#: every command form of the CLI; the pulses on a short window and a small
+#: --n-t, so that a draw costs milliseconds
+_SHORT_PULSE = ["--duration-us", "0.5", "--t-start-us", "0.5",
+                "--t-max-us", "12", "--n-t", "1000"]
+CLI_FORMS = {
+    "steady": ["steady", "--preset", "fig4a"],
+    "steady-closed-form": ["steady", "--preset", "fig4a", "--set",
+                           "gamma21=0", "--closed-form"],
+    "optimize-delta": ["optimize-delta", "--preset", "fig4a"],
+    "sweep": ["sweep", "--preset", "fig4b"],
+    "bandwidth": ["bandwidth", "--preset", "fig4b"],
+    "pulse-fig5a": ["pulse", "--preset", "fig5a", *_SHORT_PULSE],
+    "pulse-fig2a": ["pulse", "--preset", "fig2a", *_SHORT_PULSE],
+}
+#: any float, NaN and the infinities included, and values that underflow
+#: or overflow once halved, squared or converted to Gamma units
+any_float = st.floats() | st.sampled_from(
+    (5e-324, 1e-323, 2.2e-308, 1e-154, 1e154, 1e155, 1e308, -1e308))
+
+
+@pytest.mark.parametrize("form", CLI_FORMS)
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@settings(PROPERTY, max_examples=6)
+@given(value=any_float, more=st.lists(
+    st.tuples(st.sampled_from(CONFIG_KEYS), any_float), max_size=2),
+    fmt=st.sampled_from(("csv", "json-like")))
+def test_cli_exit_code_is_typed(form, key, value, more, fmt):
+    # bad input ends in a usage error (1) or a typed error (2): no
+    # exception or numpy warning escapes cli.main, and a success prints
+    # no NaN
+    argv = [*CLI_FORMS[form], "--format", fmt]
+    for k, v in [(key, value), *more]:
+        argv += ["--set", f"{k}={v!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 0:
+        assert "nan" not in out.getvalue().lower()

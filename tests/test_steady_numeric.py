@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
-                         RegimeError, coupling_matrix, linear_response,
-                         solve_grid, steady_closed_form, steady_numeric,
-                         transfer_solve, validation)
+from dlambda_fwm import (DetuningSet, DomainError, DriveParams, FwmError,
+                         MediumParams, RegimeError, coupling_matrix,
+                         linear_response, solve_grid, steady_analytic,
+                         steady_closed_form, steady_numeric, transfer_solve,
+                         validation)
+from dlambda_fwm.steady_analytic import _python_gains, _ufunc_gains
 
 
 def _bloch_matrix(m, d, det):
@@ -410,6 +412,128 @@ def test_equivalence_check_fails_on_a_rejected_point(monkeypatch):
     assert "boundary solve singular" in r.detail
 
 
+# --- the scalar path ----------------------------------------------------------
+
+def _same(a: float, b: float) -> bool:
+    """a and b are the same float: equal with the same sign, so that
+    signed zeros count, or both NaN."""
+    if math.isnan(a):
+        return math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i*im with each part as given (arithmetic would add zeros)."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def test_python_gains_are_numpy_complex128_division():
+    # the scalar path divides the Schur gains in Python; it must round as
+    # numpy's complex128 division does, scalar and array ufunc alike, or
+    # scalar results drift from the grid's.  A numpy build that rounds
+    # differently fails here.
+    rng = np.random.default_rng(21)
+    n = 3000
+
+    def parts():
+        # log-uniform magnitudes over 1e-300..1e300, both signs, and a
+        # quarter signed zeros
+        x = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-300, 300, n)
+        return np.where(rng.random(n) < 0.25, rng.choice((-0.0, 0.0), n), x)
+
+    c1, c2, c3 = (_complex(parts(), parts()) for _ in range(3))
+    # c1 = 0 in all four signs, where both paths divide by the masked 1
+    c1[:8] = _complex(np.array([0.0, -0.0] * 4),
+                      np.array([0.0] * 4 + [-0.0] * 4))
+    real_branch = abs(c1.real) >= abs(c1.imag)
+    assert real_branch.sum() > n // 3 and (~real_branch).sum() > n // 3
+    with np.errstate(all="ignore"):     # the extremes overflow in numpy too
+        arrays = _ufunc_gains(c1, c2, c3)
+        for i in range(n):
+            args = complex(c1[i]), complex(c2[i]), complex(c3[i])
+            scalars = _ufunc_gains(*args)
+            python = _python_gains(*args)
+            for k in range(2):
+                for numpy_gain in (scalars[k], arrays[k][i]):
+                    assert _same(python[k].real, numpy_gain.real) and \
+                        _same(python[k].imag, numpy_gain.imag), (args, k)
+
+
+def _outcome(call) -> tuple:
+    """A scalar solve's result as the bits of every part, or its error."""
+    try:
+        r = call()
+    except FwmError as exc:
+        return type(exc), str(exc)
+    parts = (r.probe_out.real, r.probe_out.imag, r.signal_out.real,
+             r.signal_out.imag)
+    return tuple(float(x).hex() for x in parts)
+
+
+def test_scalar_solves_ignore_the_callers_error_state(monkeypatch):
+    # a scalar call runs no numpy unless it re-judges a point on the
+    # ufuncs, under the array paths' own error state: under "raise" it
+    # returns the same bits and errors, and leaves np.geterr() as it was
+    rejudged = []
+
+    def counted(kernel, *args):
+        rejudged.append(kernel.__name__)
+        return rejudge(kernel, *args)
+
+    rejudge = steady_analytic._rejudge
+    monkeypatch.setattr(steady_analytic, "_rejudge", counted)
+    monkeypatch.setattr(steady_numeric, "_rejudge", counted)
+    rng = np.random.default_rng(21)
+    calls = []
+    for alpha, delta_kL, omega, delta in zip(
+            10.0 ** rng.uniform(-2, 3, 150), rng.uniform(-4, 4, 150),
+            rng.uniform(0.0, 3.0, 150), rng.uniform(-0.1, 0.1, 150)):
+        m = MediumParams(alpha=alpha, gamma21=1e-3, delta_kL=delta_kL)
+        d, det = DriveParams(omega, omega / 2), DetuningSet(delta, 0.3, -0.2)
+        mc = MediumParams(alpha=alpha, delta_kL=delta_kL)
+        calls += [lambda d=d, det=det, m=m: transfer_solve(d, det, m),
+                  lambda m=mc, w=omega, x=delta: steady_closed_form(m, w, x)]
+    # points the Python path refuses: they overflow to NaN, and the first
+    # also underflows on the ufuncs
+    calls += [lambda: transfer_solve(DriveParams(1e142), DetuningSet(-1e-297),
+                                     MediumParams(1e215, delta_kL=-1e56)),
+              lambda: transfer_solve(DriveParams(1.2, 1.2), DetuningSet(),
+                                     MediumParams(alpha=1e308)),
+              lambda: transfer_solve(DriveParams(1e200, 1.2), DetuningSet(),
+                                     MediumParams(alpha=130.0)),
+              lambda: steady_closed_form(MediumParams(alpha=130.0), 1e200,
+                                         0.0)]
+    before = np.geterr()
+    for call in calls:
+        tolerated = _outcome(call)
+        with np.errstate(all="raise"):
+            raising = _outcome(call)
+            assert np.geterr() == {k: "raise" for k in before}
+        assert raising == tolerated
+        assert np.geterr() == before
+    assert {"_transfer", "_amplitudes"} <= set(rejudged)
+
+
+def test_scalar_solves_reach_no_numpy(monkeypatch):
+    # with numpy's name unbound in both steady modules an ordinary point
+    # still solves: the scalar path is Python arithmetic end to end
+    class Unbound:
+        def __getattr__(self, name):
+            raise AssertionError(f"the scalar path reached np.{name}")
+
+    m = MediumParams(alpha=130.0, gamma21=7e-4, delta_kL=0.134 * math.pi)
+    expected = (transfer_solve(DriveParams(1.2, 0.6), DetuningSet(-0.0045),
+                               m),
+                steady_closed_form(replace(m, gamma21=0.0), 1.2, -0.0045))
+    for module in (steady_numeric, steady_analytic):
+        monkeypatch.setattr(module, "np", Unbound())
+    assert (transfer_solve(DriveParams(1.2, 0.6), DetuningSet(-0.0045), m),
+            steady_closed_form(replace(m, gamma21=0.0), 1.2,
+                               -0.0045)) == expected
+
+
 # --- module boundary -----------------------------------------------------------
 
 def _numpy_attrs(attr, nodes) -> list:
@@ -440,6 +564,22 @@ def test_steady_kernels_call_no_np_where():
                                     f"function on lines {in_functions}")
         errstates += _numpy_attrs("errstate", ast.walk(tree))
     assert len(errstates) == 1, f"np.errstate built on lines {errstates}"
+
+
+def test_error_state_only_on_array_entry_points():
+    # a scalar call that succeeds enters no np.errstate: the one shared
+    # state decorates the array paths alone
+    package = Path(__file__).resolve().parents[1] / "src" / "dlambda_fwm"
+    decorated = set()
+    for name in ("steady_numeric.py", "steady_analytic.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        decorated |= {stmt.name for stmt in tree.body
+                      if isinstance(stmt, ast.FunctionDef)
+                      and any(isinstance(dec, ast.Name)
+                              and dec.id == "_TOLERATED"
+                              for dec in stmt.decorator_list)}
+    assert decorated == {"solve_grid", "linear_response", "coupling_matrix",
+                         "_rejudge"}
 
 
 def test_private_kernels_are_reached_only_through_steady_numeric():
