@@ -37,6 +37,11 @@ the FFT off Bluestein's algorithm, which an awkward length such as
 runs on KERNEL_CHUNK frequencies at a time, so its temporaries stay small
 on long grids.
 
+A linear, time-invariant medium puts no output at frequencies its input
+lacks, so the output is exact at any time step that samples the input:
+Gamma does not enter, and PulseSpec judges the step by the pulse alone
+(STEPS_PER_FEATURE).
+
 Everything is linear in the probe, so traces are computed for a unit
 input amplitude and reported as normalized intensities.
 """
@@ -44,6 +49,7 @@ input amplitude and reported as normalized intensities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +59,9 @@ from .errors import DomainError, GridError
 from .params import DetuningSet, DriveParams, MediumParams
 from .steady_numeric import solve_grid
 
-DT_GAMMA_LIMIT = 0.5
+#: time steps per shortest input feature (a gaussian's duration, a flat
+#: top's ramp) that a PulseSpec grid must resolve; see PulseSpec
+STEPS_PER_FEATURE = 8
 TAIL_FRACTION = 1e-4
 #: the share of the input energy at and below which a transmitted probe
 #: is rounding, not light; see _transmitted
@@ -75,6 +83,15 @@ class PulseSpec:
     seconds (default duration/10), holds, and ramps down.  grid is
     (t_min, t_max, n_t): n_t uniform steps (an integer, 100 <= n_t <=
     MAX_N_T), n_t + 1 samples.
+
+    The step (t_max - t_min)/n_t must resolve the pulse's shortest
+    feature, the gaussian's duration or the flat top's ramp, at
+    STEPS_PER_FEATURE steps or more; a coarser grid is a GridError.  At
+    that limit a gaussian's spectrum beyond the grid's Nyquist frequency
+    is exp(-4 pi^2) ~ 7e-18 of its peak, below double rounding.  A sin^2
+    ramp converges more slowly: 8 steps per 10 us ramp on the fig4a
+    medium (80 us hold) give CE_pulse to 5e-7 relative, 16 steps to
+    3e-8.
     """
 
     shape: str
@@ -96,20 +113,37 @@ class PulseSpec:
             raise DomainError(f"t_start must be finite, got {self.t_start}")
         try:
             t_min, t_max, n_t = self.grid
-            finite = math.isfinite(t_min) and math.isfinite(t_max)
+            # group_delay integrates t * intensity over t, so the bounds'
+            # squares must be finite too (False for a NaN)
+            finite = t_min * t_min < math.inf and t_max * t_max < math.inf
             # False for a NaN or a fractional n_t
             n_t_ok = 100 <= n_t <= MAX_N_T and n_t % 1 == 0
         except (TypeError, ValueError):
             raise GridError("grid must be three numbers (t_min, t_max, n_t), "
                             f"got {self.grid!r}") from None
         if not finite:
-            raise GridError(f"time grid bounds must be finite, got "
-                            f"({t_min}, {t_max})")
+            raise GridError(f"time grid bounds must be finite, and so must "
+                            f"their squares, got ({t_min}, {t_max})")
         if not (t_max > t_min):
             raise GridError(f"empty time grid ({t_min}, {t_max})")
         if not n_t_ok:
             raise GridError(f"n_t must be an integer in [100, {MAX_N_T}], "
                             f"got {n_t}")
+        name, feature = ("duration", self.duration) \
+            if self.shape == "gaussian" else ("ramp", self.ramp)
+        dt = (t_max - t_min) / n_t
+        # a feature of exactly STEPS_PER_FEATURE steps passes despite rounding
+        if feature * (1.0 + 1e-12) < STEPS_PER_FEATURE * dt:
+            raise GridError(
+                f"time step {dt*1e6:.6g} us does not resolve the {name} of "
+                f"{feature*1e6:.6g} us: it needs {STEPS_PER_FEATURE} steps "
+                f"per {name} (raise n_t or shrink the window)")
+        # amplitude divides by the square; only a grid as extreme can
+        # resolve a gaussian that fails this
+        if self.shape == "gaussian" and not \
+                sys.float_info.min <= self.duration * self.duration < math.inf:
+            raise DomainError(f"duration = {self.duration} s is out of range: "
+                              "its square is not a normal float")
 
     def support_end(self) -> float:
         if self.shape == "gaussian":
@@ -124,7 +158,10 @@ class PulseSpec:
         """Normalized (peak 1) input amplitude on the given time samples."""
         if self.shape == "gaussian":
             t0 = self.t_start + self.duration
-            return np.exp(-4.0 * (t - t0) ** 2 / self.duration ** 2)
+            # far from the centre the square overflows to inf, and
+            # exp(-inf) = 0 is the amplitude there
+            with np.errstate(over="ignore"):
+                return np.exp(-4.0 * (t - t0) ** 2 / self.duration ** 2)
         y = np.zeros_like(t)
         r, h, s = self.ramp, self.duration, self.t_start
         up = (t >= s) & (t < s + r)
@@ -157,18 +194,18 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
                    p: PulseSpec) -> PulseTrace:
     """Propagate a probe pulse through the medium.
 
-    Raises GridError if the time step violates dt*Gamma <= 0.5 or if the
-    grid does not cover the pulse support plus three expected group
-    delays, and the kernel's located errors (``at omega=<w>:``, w in
-    Gamma units) for a frequency that fails the steady solve's checks.
-    PulseSpec itself caps the time grid at 10**6 steps.
+    Raises GridError if the grid does not cover the pulse support plus
+    three expected group delays, or if its step is so fine in Gamma units
+    that the FFT frequencies overflow, and the kernel's located errors
+    (``at omega=<w>:``, w in Gamma units) for a frequency that fails the
+    steady solve's checks.  The time step is PulseSpec's to judge, by the
+    pulse alone and at any dt*Gamma: at its limit of STEPS_PER_FEATURE
+    steps per gaussian duration the input aliases below rounding, and per
+    flat-top ramp CE_pulse is good to about 5e-7 relative.  PulseSpec also
+    caps the time grid at 10**6 steps.
     """
     t = p.times()
     dt = float(t[1] - t[0]) * m.gamma_phys     # Gamma units
-    if dt > DT_GAMMA_LIMIT + 1e-12:
-        raise GridError(
-            f"time step too coarse: dt*Gamma = {dt:.4g} > "
-            f"{DT_GAMMA_LIMIT} (raise n_t or shrink the window)")
     # the EIT group delay; a drive whose square underflows counts as off
     w2 = d.omega_c * d.omega_c
     delay = m.alpha / w2 / m.gamma_phys if w2 > 0.0 else 0.0

@@ -364,23 +364,52 @@ def test_pulse_roundoff_probe_has_no_delay(capsys, alpha, resolved):
 
 
 def test_pulse_grid_error_exit_2(capsys):
-    code, _, err = run(capsys, ["pulse", "--preset", "fig2a",
-                                "--n-t", "4000"])
-    assert code == 2 and "dt" in err
+    # 4 steps of the preset grid per 0.05 us width; any dt*Gamma that
+    # resolves the pulse runs (fig2a at --n-t 4000, dt*Gamma 1.41, exits 0)
+    code, out, err = run(capsys, ["pulse", "--preset", "fig2a",
+                                  "--duration-us", "0.05"])
+    assert (code, out) == (2, "")
+    assert err == ("error: time step 0.0125 us does not resolve the duration "
+                   "of 0.05 us: it needs 8 steps per duration (raise n_t or "
+                   "shrink the window)\n")
 
 
-@pytest.mark.parametrize("setting, message", [
+_HUGE_VALUES = [
     # the group delay alpha/omega_c^2 is ~1e200 times the window
-    ("omega_c=1e-100", "error: grid ends at 150 us but pulse support plus "
-                       "3 group delays needs 1.03451e+201 us"),
-    ("gamma_phys_mhz=1e300", "error: time step too coarse: "
-                             "dt*Gamma = 7.854e+298 > 0.5"),
-])
-def test_pulse_grid_error_prints_huge_values_short(capsys, setting, message):
-    code, out, err = run(capsys, ["pulse", "--preset", "fig5a",
-                                  "--set", setting])
+    (["--set", "omega_c=1e-100"],
+     "error: grid ends at 150 us but pulse support plus 3 group delays "
+     "needs 1.03451e+201 us"),
+    # features 1e-307 times the step: the gaussian printed RuntimeWarnings
+    # and rows of nan with exit 0
+    (["--duration-us", "2.225073858507203e-309", "--t-start-us", "0",
+      "--t-max-us", "8", "--n-t", "604"],
+     "error: time step 0.013245 us does not resolve the duration of "
+     "2.22507e-309 us"),
+    (["--shape", "flat_top", "--ramp-us", "1e-310"],
+     "error: time step 0.0125 us does not resolve the ramp of 1e-310 us"),
+    # resolved, but its square overflows: an OverflowError traceback
+    (["--duration-us", "1e206", "--t-start-us=-3e206"],
+     "error: duration = 1e+200 s is out of range: its square is not a "
+     "normal float\n"),
+]
+
+
+@pytest.mark.parametrize("args, message", _HUGE_VALUES,
+                         ids=[f"{a[1]}-{m}" for a, m in _HUGE_VALUES])
+def test_pulse_grid_error_prints_huge_values_short(capsys, args, message):
+    code, out, err = run(capsys, ["pulse", "--preset", "fig5a", *args])
     assert code == 2 and out == ""
     assert err.startswith(message) and len(err) < 200
+
+
+def test_pulse_coarse_grid_exit_0(capsys):
+    # dt*Gamma 15: the preset's numbers at 1/32 of its steps
+    code, _, err = run(capsys, ["pulse", "--preset", "fig5a", "--n-t", "375"])
+    assert code == 0
+    assert err.splitlines() == [
+        "group_delay_us = 11.8486426",
+        "T_pulse = 0.000511087593  CE_pulse = 0.904353083  loss = "
+        "0.095135829"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -420,6 +449,9 @@ def test_tiny_gamma_beyond_the_float_range_exit_2(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--t-start-us", "nan", "t_start must be finite"),
     ("--t-max-us", "inf", "time grid bounds must be finite"),
+    # t * intensity, integrated over t, would overflow
+    ("--t-max-us", "1e161", "time grid bounds must be finite, and so must "
+                            "their squares"),
     # refused by PulseSpec too, whatever the shape
     ("--t-max-us", "0", "empty time grid"),
     ("--ramp-us", "0", "ramp must be > 0"),

@@ -11,7 +11,7 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
 from dlambda_fwm.steady_numeric import _coefficients, _point
 from z_stepper import step_pulse
 
-# lighter grid used throughout: 100 us window keeps dt*Gamma = 0.47
+# lighter grid used throughout: a 100 us window at the presets' time step
 LIGHT = (0.0, 100e-6, 8000)
 
 
@@ -48,7 +48,7 @@ def test_pulse_spec_validation():
         with pytest.raises(DomainError, match="t_start must be finite"):
             PulseSpec(shape="gaussian", duration=1e-6, t_start=t_start)
     for grid in ((0.0, math.inf, 1000), (-math.inf, 1e-4, 1000),
-                 (math.nan, 1e-4, 1000)):
+                 (math.nan, 1e-4, 1000), (-1e155, 1e-4, 1000)):
         with pytest.raises(GridError, match="bounds must be finite"):
             PulseSpec(shape="gaussian", duration=1e-6, grid=grid)
 
@@ -59,6 +59,36 @@ def test_pulse_spec_validation():
 def test_pulse_spec_malformed_grid(grid):
     with pytest.raises(GridError):
         PulseSpec(shape="gaussian", duration=1e-6, grid=grid)
+
+
+def test_pulse_spec_step_resolves_the_shortest_feature():
+    assert dynamics.STEPS_PER_FEATURE == 8
+    # 8 steps of 0.125 us per 1 us width pass, 7.9 do not
+    PulseSpec("gaussian", 1e-6, grid=(0.0, 100e-6, 800))
+    # 8 steps exactly, though 8 * dt rounds above the duration
+    PulseSpec("gaussian", 0.24e-6, grid=(0.0, 3e-6, 100))
+    with pytest.raises(GridError, match=r"^time step 0\.125 us does not "
+                                        r"resolve the duration of 0\.9875 us"):
+        PulseSpec("gaussian", 0.9875e-6, grid=(0.0, 100e-6, 800))
+    # a flat top is judged by its ramp, whatever its hold
+    PulseSpec("flat_top", 0.01e-6, ramp=1.2e-6, grid=(0.0, 150e-6, 1000))
+    with pytest.raises(GridError, match="the ramp of 1 us"):
+        PulseSpec("flat_top", 100e-6, ramp=1e-6, grid=(0.0, 150e-6, 1000))
+    # a gaussian far below the step is refused before any sample is built
+    with pytest.raises(GridError, match="duration of 2.22507e-309 us"):
+        PulseSpec("gaussian", 2.225073858507203e-315, t_start=0.0,
+                  grid=(0.0, 8e-6, 604))
+    # a grid that resolves a gaussian whose square is not a normal float
+    for duration, grid in ((1e-160, (0.0, 1e-158, 1000)),
+                           (1e160, (0.0, 1e-4, 1000))):
+        with pytest.raises(DomainError, match="its square is not a normal"):
+            PulseSpec("gaussian", duration, t_start=-3 * duration, grid=grid)
+
+
+def test_gaussian_far_from_its_centre_is_zero():
+    # (t - t0)**2 overflows; no numpy warning leaks
+    p = PulseSpec("gaussian", 30e-6, t_start=-1e294)
+    assert np.all(p.amplitude(p.times()) == 0.0)
 
 
 def test_underflowing_drive_propagates_as_drive_off():
@@ -88,11 +118,20 @@ def test_pulse_spec_shapes():
 
 # --- grid preconditions -----------------------------------------------------
 
-def test_grid_error_coarse_time_step():
-    pre = figure_preset("fig2a")
-    pulse = replace(pre.pulse, grid=(0.0, 150e-6, 4000))   # dt*Gamma = 1.41
-    with pytest.raises(GridError, match="dt"):
-        simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
+def test_coarse_grid_matches_fine_one():
+    # the propagation is exact per Fourier component, so a step that
+    # resolves the pulse gives the preset's numbers at any dt*Gamma
+    # (here 15 against 0.47)
+    pre = figure_preset("fig5a")
+    out = []
+    for n_t in (375, 12000):
+        pulse = replace(pre.pulse, grid=(0.0, 150e-6, n_t))
+        tr = simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
+        out.append((group_delay(tr), energy_budget(tr)))
+    (delay, coarse), (delay_fine, fine) = out
+    assert f"{delay:.9g}" == f"{delay_fine:.9g}"
+    assert f"{coarse.ce_pulse:.9g}" == f"{fine.ce_pulse:.9g}"
+    assert coarse.t_pulse == pytest.approx(fine.t_pulse, rel=1e-8)
 
 
 def test_grid_error_short_window():
@@ -100,6 +139,15 @@ def test_grid_error_short_window():
     pulse = replace(pre.pulse, grid=(0.0, 80e-6, 8000))
     with pytest.raises(GridError, match="support"):
         simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
+    # the energy the inverse FFT puts in the padded samples cannot stand in
+    # for this rule: without it, this grid leaves only 4.7e-4 of the input
+    # energy there, yet the probe (T 0.58, delay 11.8 us, 2.4 windows)
+    # wraps into the window and the output is off by 0.34 of the input
+    # peak
+    p = PulseSpec("gaussian", 1.5e-6, t_start=0.5e-6, grid=(0.0, 5e-6, 472))
+    with pytest.raises(GridError, match="3 group delays"):
+        simulate_pulse(MediumParams(alpha=1000.0), DriveParams(omega_c=1.5),
+                       DetuningSet(), p)
 
 
 # --- physics ----------------------------------------------------------------

@@ -19,6 +19,7 @@ from dlambda_fwm import (BoundarySolveError, DetuningSet, DriveParams,
                          linear_response, simulate_pulse, solve_grid,
                          steady_closed_form, transfer_solve)
 from dlambda_fwm.cli import main
+from dlambda_fwm.dynamics import MAX_N_T
 from dlambda_fwm.params import CONFIG_KEYS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -210,6 +211,18 @@ any_float = st.floats() | st.sampled_from(
     (5e-324, 1e-323, 2.2e-308, 1e-154, 1e154, 1e155, 1e308, -1e308))
 
 
+def _assert_typed(argv):
+    """Bad input ends in a usage error (1) or a typed error (2): no
+    exception or numpy warning escapes cli.main, and a success prints no
+    NaN."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 0:
+        assert "nan" not in out.getvalue().lower()
+
+
 @pytest.mark.parametrize("form", CLI_FORMS)
 @pytest.mark.parametrize("key", CONFIG_KEYS)
 @settings(PROPERTY, max_examples=6)
@@ -217,15 +230,48 @@ any_float = st.floats() | st.sampled_from(
     st.tuples(st.sampled_from(CONFIG_KEYS), any_float), max_size=2),
     fmt=st.sampled_from(("csv", "json-like")))
 def test_cli_exit_code_is_typed(form, key, value, more, fmt):
-    # bad input ends in a usage error (1) or a typed error (2): no
-    # exception or numpy warning escapes cli.main, and a success prints
-    # no NaN
     argv = [*CLI_FORMS[form], "--format", fmt]
     for k, v in [(key, value), *more]:
         argv += ["--set", f"{k}={v!r}"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), (code, err.getvalue())
-    if code == 0:
-        assert "nan" not in out.getvalue().lower()
+    _assert_typed(argv)
+
+
+PULSE_FLAGS = ("--duration-us", "--t-start-us", "--ramp-us", "--t-max-us",
+               "--n-t")
+#: times of either sign: a pulse centred far before the window is as
+#: valid as one far after it
+signed_float = st.tuples(st.sampled_from((1.0, -1.0)), any_float).map(
+    lambda t: t[0] * t[1])
+#: an --n-t that runs in milliseconds, one beyond the cap, or a float,
+#: which argparse refuses
+n_t_values = (st.integers(max_value=4000)
+              | st.integers(min_value=MAX_N_T + 1) | any_float)
+
+
+def _pulse_flag(flag):
+    return st.tuples(st.just(flag),
+                     n_t_values if flag == "--n-t" else signed_float)
+
+
+#: the short pulses of CLI_FORMS, gaussian or a flat top with its ramp
+#: resolved
+SHAPES = {"gaussian": [], "flat_top": ["--shape", "flat_top",
+                                       "--ramp-us", "0.1"]}
+
+
+@pytest.mark.parametrize("form", ["pulse-fig5a", "pulse-fig2a"])
+@pytest.mark.parametrize("flag", PULSE_FLAGS)
+@settings(PROPERTY, max_examples=12)
+@given(data=st.data(), shape=st.sampled_from(tuple(SHAPES)),
+       fmt=st.sampled_from(("csv", "json-like")))
+def test_cli_pulse_flags_exit_code_is_typed(form, flag, data, shape, fmt):
+    # the same rules for the pulse's own flags, drawn over the whole
+    # float range, with up to two more flags and a config key
+    drawn = [data.draw(_pulse_flag(flag)), *data.draw(st.lists(
+        st.sampled_from(PULSE_FLAGS).flatmap(_pulse_flag), max_size=2))]
+    argv = [*CLI_FORMS[form], *SHAPES[shape], "--format", fmt,
+            *(f"{f}={v!r}" for f, v in drawn)]
+    for k, v in data.draw(st.lists(
+            st.tuples(st.sampled_from(CONFIG_KEYS), any_float), max_size=1)):
+        argv += ["--set", f"{k}={v!r}"]
+    _assert_typed(argv)
