@@ -1,31 +1,22 @@
 """Time-domain pulse propagation: slow light and pulsed conversion.
 
-Model reduction
----------------
-The optical coherences relax at ~Gamma/2, orders of magnitude faster than
-the microsecond-scale pulse envelopes, so rho31 and rho41 are eliminated
-adiabatically: at each instant they take their steady value for the
-current fields and ground-state coherence rho21(z).  What remains dynamic
-is rho21 (the EIT storage degree of freedom) plus the quasi-static field
-profiles:
-
-    rho21_t = c1*rho21 + c2*Op + c3*Os
-    Op_z    = a_p*Op + b_p*rho21                (forward, Op(0) given)
-    Os_z    = a_s*Os + b_s*rho21                (backward, Os(L) = 0)
-
-Transit-time terms are dropped (L/c is ~5 orders below 1/Gamma).
-
 Frequency domain
 ----------------
-The model is linear and time-invariant.  For an input component
-e^(i w t), d/dt becomes i*w, and c1 - i*w is c1 with the two-photon
-detuning delta replaced by delta - w; delta_p and Delta enter only
-through the eliminated optical coherences and stay fixed.  Each
-component therefore propagates as a steady state, exactly in z: the
-output spectra are the steady kernel's probe and signal amplitudes
-H_p(w), H_s(w) times the input spectrum.  The probe is written as the
-free wave plus a correction, u + ifft((H_p - 1) U), so it is exact in
-vacuum, where H_p = 1.
+The model is linear and time-invariant, with every coherence dynamic:
+the ground-state coherence rho21 and the optical coherences rho31 and
+rho41.  For an input component e^(i w t), d/dt becomes i*w, which enters
+each coherence's equation as a shift of the detuning it carries: a probe
+component at omega_p + w is a CW probe at that frequency, the signal it
+generates sits at omega_s + w, and delta, delta_p and Delta all become
+their value minus w.  Each component therefore propagates as a steady
+state, exactly in z: the output spectra are the steady kernel's probe
+and signal amplitudes at probe shift -w (solve_probe_shift, the
+spectrum the bandwidth scan reads), H_p(w) and H_s(w), times the input
+spectrum.  The one-photon part of this response is the textbook EIT
+susceptibility chi(w).  Transit-time terms are dropped (L/c is ~5
+orders below 1/Gamma).  The probe is written as the free wave plus a
+correction, u + ifft((H_p - 1) U), so it is exact in vacuum, where
+H_p = 1.
 
 The n_t + 1 input samples are zero-padded to the first power of two at
 or above 2(n_t + 1) before the FFT, so the circular convolution wraps
@@ -57,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .params import DetuningSet, DriveParams, MediumParams
-from .steady_numeric import solve_grid
+from .steady_numeric import solve_probe_shift
 
 #: time steps per shortest input feature (a gaussian's duration, a flat
 #: top's ramp) that a PulseSpec grid must resolve; see PulseSpec
@@ -113,11 +104,16 @@ class PulseSpec:
             raise DomainError(f"t_start must be finite, got {self.t_start}")
         try:
             t_min, t_max, n_t = self.grid
-            # group_delay integrates t * intensity over t, so the bounds'
-            # squares must be finite too (False for a NaN)
-            finite = t_min * t_min < math.inf and t_max * t_max < math.inf
             # False for a NaN or a fractional n_t
             n_t_ok = 100 <= n_t <= MAX_N_T and n_t % 1 == 0
+            # group_delay integrates t * intensity over t, so the bounds'
+            # squares must be finite too (False for a NaN); a bound
+            # squares as the float it computes as
+            finite = all(float(b) * b < math.inf for b in (t_min, t_max))
+        except OverflowError:
+            # not echoed: an int that long may not even convert to str
+            raise GridError("time grid bounds must be finite, got an int "
+                            "beyond the float range") from None
         except (TypeError, ValueError):
             raise GridError("grid must be three numbers (t_min, t_max, n_t), "
                             f"got {self.grid!r}") from None
@@ -192,17 +188,19 @@ class EnergyBudget:
 
 def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
                    p: PulseSpec) -> PulseTrace:
-    """Propagate a probe pulse through the medium.
+    """Propagate a probe pulse through the medium: each FFT bin w of the
+    padded input goes through the exact steady response at probe shift
+    -w (solve_probe_shift; see the module docstring).
 
     Raises GridError if the grid does not cover the pulse support plus
     three expected group delays, or if its step is so fine in Gamma units
-    that the FFT frequencies overflow, and the kernel's located errors
-    (``at omega=<w>:``, w in Gamma units) for a frequency that fails the
-    steady solve's checks.  The time step is PulseSpec's to judge, by the
-    pulse alone and at any dt*Gamma: at its limit of STEPS_PER_FEATURE
-    steps per gaussian duration the input aliases below rounding, and per
-    flat-top ramp CE_pulse is good to about 5e-7 relative.  PulseSpec also
-    caps the time grid at 10**6 steps.
+    that the outer bins' shifted detunings overflow, and the kernel's
+    located errors (``at omega=<w>:``, w in Gamma units) for a frequency
+    that fails the steady solve's checks.  The time step is PulseSpec's
+    to judge, by the pulse alone and at any dt*Gamma: at its limit of
+    STEPS_PER_FEATURE steps per gaussian duration the input aliases below
+    rounding, and per flat-top ramp CE_pulse is good to about 5e-7
+    relative.  PulseSpec also caps the time grid at 10**6 steps.
     """
     t = p.times()
     dt = float(t[1] - t[0]) * m.gamma_phys     # Gamma units
@@ -217,10 +215,11 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
     u = p.amplitude(t)
     n_pad = 1 << (2 * len(t) - 1).bit_length()
     # the bins' spacing, Gamma units; with a Gamma near the smallest
-    # float, dt*Gamma (nearly) underflows and the outer bins' delta -
-    # omega would overflow
+    # float, dt*Gamma (nearly) underflows and the outer bins' shifted
+    # detunings would overflow
     dw = 2.0 * math.pi / (n_pad * dt) if dt > 0.0 else math.inf
-    if math.isinf(abs(det.delta) + dw * (n_pad // 2)):
+    largest = max(abs(det.delta), abs(det.delta_p), abs(det.Delta))
+    if math.isinf(largest + dw * (n_pad // 2)):
         raise GridError(f"time step too fine: dt*Gamma = {dt:.4g} puts the "
                         "frequency grid beyond the float range")
     spec_p = np.fft.fft(u, n_pad)
@@ -230,8 +229,7 @@ def simulate_pulse(m: MediumParams, d: DriveParams, det: DetuningSet,
         # the bins' angular frequencies in np.fft.fftfreq order, Gamma units
         j = np.arange(chunk.start, chunk.stop)
         omega = dw * np.where(j < n_pad // 2, j, j - n_pad)
-        h_p, h_s = solve_grid(m, d, det, {"omega": omega},
-                              delta=det.delta - omega)
+        h_p, h_s = solve_probe_shift(m, d, det, -omega, {"omega": omega})
         spec_s[chunk] = h_s * spec_p[chunk]
         spec_p[chunk] *= h_p - 1.0
     probe = u + np.fft.ifft(spec_p, out=spec_p)[:len(t)]

@@ -20,7 +20,7 @@ from ._version import __version__
 from .errors import DomainError, GridError, ScanRangeError
 from .params import (DetuningSet, DriveParams, MediumParams, TWO_PI,
                      khz_to_gamma, metadata_echo)
-from .steady_numeric import solve_grid
+from .steady_numeric import solve_grid, solve_probe_shift
 from .dynamics import MAX_N_T, PulseSpec
 
 #: each sweep variable and the unit of its grid: detunings scan in kHz,
@@ -172,12 +172,11 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams,
                    det_base: DetuningSet) -> float:
     """Conversion bandwidth: FWHM of ce against a probe-frequency scan.
 
-    Shifting the probe frequency by x moves every detuning that contains
-    it, so the scan evaluates ce at (delta + x, delta_p + x, Delta + x)
-    with the exact solver, on a grid of step BANDWIDTH_STEP (Gamma units).
-    The FWHM is taken from linear interpolation of the half-maximum
-    crossings and returned in MHz.  The base point should sit near the
-    conversion maximum.
+    The scan evaluates ce at probe shifts x (solve_probe_shift) on a grid
+    of step BANDWIDTH_STEP (Gamma units): the conversion spectrum a pulse
+    sees, mirrored in omega = -x.  The FWHM is taken from linear
+    interpolation of the half-maximum crossings and returned in MHz.  The
+    base point should sit near the conversion maximum.
 
     Raises ScanRangeError when ce never falls below half maximum inside
     +-BANDWIDTH_HALF_RANGE (including the degenerate alpha -> 0 case where
@@ -185,10 +184,8 @@ def bandwidth_fwhm(m: MediumParams, d: DriveParams,
     """
     h = BANDWIDTH_HALF_RANGE
     xs = np.linspace(-h, h, int(round(2.0 * h / BANDWIDTH_STEP)) + 1)
-    ys = abs(solve_grid(m, d, det_base, {"probe_shift": xs},
-                        delta=det_base.delta + xs,
-                        delta_p=det_base.delta_p + xs,
-                        Delta=det_base.Delta + xs)[1]) ** 2
+    ys = abs(solve_probe_shift(m, d, det_base, xs,
+                               {"probe_shift": xs})[1]) ** 2
     peak = float(ys.max())
     if peak <= 0.0:
         raise ScanRangeError("no conversion peak: ce is identically zero")

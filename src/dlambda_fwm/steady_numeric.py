@@ -9,9 +9,11 @@ Os(L) = 0 (the signal builds up backwards), solved in a ratio form that
 needs no matrix exponential.  One kernel does both, with no branch and
 no np.where: its two singular points (c1 = 0, s = 0) are masked with
 arithmetic.  solve_grid evaluates it on numpy arrays, a parameter grid
-for sweeps, the bandwidth scan and the pulse propagator; linear_response
-and coupling_matrix return the elimination's two halves (the coherences'
-3x2 response and M*L) at one point.
+for sweeps; solve_probe_shift runs solve_grid at shifted probe
+frequencies, the one spectrum the bandwidth scan and the pulse
+propagator read; linear_response and coupling_matrix return the
+elimination's two halves (the coherences' 3x2 response and M*L) at one
+point.
 The signal it returns is a photon-number amplitude: CE = |signal_out|^2
 counts signal photons per probe photon, also when gamma31 != gamma41.
 
@@ -67,14 +69,15 @@ def _point(m: MediumParams, d: DriveParams, det: DetuningSet,
 
 def _coefficients(alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
                   omega_d, delta, delta_p, Delta) -> tuple:
-    """(d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s) of the reduced model
+    """(d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s) of the steady state
 
-        0     = c1*rho21 + c2*Op + c3*Os     (rho21_t in the pulse model)
+        0     = c1*rho21 + c2*Op + c3*Os
         Op_z  = a_p*Op + b_p*rho21
         Os_z  = a_s*Os + b_s*rho21
 
     with rho31 = (i/2)(Op + omega_c*rho21)/d31 and
-    rho41 = (i/2)(Os + omega_d*rho21)/d41.  Scalars or broadcast arrays.
+    rho41 = (i/2)(Os + omega_d*rho21)/d41 eliminated.  Scalars or
+    broadcast arrays.
     """
     d31 = gamma31 / 2.0 - 1j * delta_p
     d41 = gamma41 / 2.0 - 1j * Delta
@@ -221,6 +224,22 @@ def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
         return _checked(at, *_amplitudes(p["alpha"], p["delta_kL"],
                                          p["omega_c"], p["delta"]))
     return _checked(at, *_transfer(p))
+
+
+def solve_probe_shift(m: MediumParams, d: DriveParams, det: DetuningSet,
+                      x, at: dict) -> tuple:
+    """solve_grid's (probe_out, signal_out) with the probe frequency
+    shifted by x (Gamma units, an array), errors located over ``at``.
+
+    Shifting the probe frequency by x moves every detuning that contains
+    it: the signal it generates shifts with it, so the kernel runs at
+    (delta + x, delta_p + x, Delta + x).  The model is linear, so this is
+    the exact response to a probe component at that frequency: the
+    bandwidth scan and, with x = -omega for a Fourier component
+    e^(i omega t), the pulse propagator evaluate it.
+    """
+    return solve_grid(m, d, det, at, delta=det.delta + x,
+                      delta_p=det.delta_p + x, Delta=det.Delta + x)
 
 
 def _finite(what: str, values, m: MediumParams,

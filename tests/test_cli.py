@@ -337,8 +337,8 @@ def test_pulse_slow_light(capsys):
     code, out, err = run(capsys, ["pulse", "--preset", "fig2a",
                                   "--t-max-us", "100", "--n-t", "8000"])
     assert code == 0
-    assert "group_delay_us = 3.31109762" in err
-    assert "T_pulse = 0.971122858" in err
+    assert "group_delay_us = 3.31143835" in err
+    assert "T_pulse = 0.971120327" in err
     assert "[truncated tail]" not in err
     lines = out.splitlines()
     assert "t_us,probe_in,probe_out,signal_out" in lines
@@ -346,13 +346,26 @@ def test_pulse_slow_light(capsys):
     assert len(data) == 8001
 
 
-@pytest.mark.parametrize("alpha, resolved", [("20", True), ("75", False)])
-def test_pulse_roundoff_probe_has_no_delay(capsys, alpha, resolved):
-    # drive off: at alpha 75 the transmitted probe is FFT rounding (T_pulse
-    # ~eps**2), so no delay line and no tail flag; at alpha 20 (T_pulse
-    # 2e-9) the delay is printed, ~0 as the model's drive-off delay is 0
+@pytest.mark.parametrize("alpha", ["20", "75"])
+def test_drive_off_absorber_from_the_preset_start(capsys, alpha):
+    # drive off, the preset's input starts at 1.5e-5 of its peak amplitude
+    # and then meets the zero padding: a step whose broadband content the
+    # absorber's far wings pass, so the tail is flagged
     code, _, err = run(capsys, ["pulse", "--preset", "fig2a", "--set",
                                 "omega_c=0", "--set", f"alpha={alpha}"])
+    assert code == 0
+    assert err.splitlines()[-1].endswith("  [truncated tail]")
+
+
+@pytest.mark.parametrize("alpha, resolved", [("20", True), ("75", False)])
+def test_pulse_roundoff_probe_has_no_delay(capsys, alpha, resolved):
+    # drive off, an input that starts at 3e-10 of its peak: at alpha 75
+    # the transmitted probe (T_pulse 5e-24) is below the round-off floor,
+    # so no delay line and no tail flag; at alpha 20 (T_pulse 2e-9) it
+    # leads by a two-level absorber's group delay -alpha/(gamma31 Gamma)
+    code, _, err = run(capsys, ["pulse", "--preset", "fig2a", "--set",
+                                "omega_c=0", "--set", f"alpha={alpha}",
+                                "--t-start-us", "40"])
     assert code == 0
     lines = err.splitlines()
     assert lines[-1].startswith("T_pulse = ")
@@ -360,7 +373,10 @@ def test_pulse_roundoff_probe_has_no_delay(capsys, alpha, resolved):
     assert len(lines) == (2 if resolved else 1)
     if resolved:
         key, _, value = lines[0].partition(" = ")
-        assert key == "group_delay_us" and abs(float(value)) < 1e-9
+        gamma_phys = dlambda_fwm.figure_preset("fig2a").medium.gamma_phys
+        assert key == "group_delay_us"
+        assert float(value) == pytest.approx(
+            -float(alpha) / gamma_phys * 1e6, rel=1e-4)
 
 
 def test_pulse_grid_error_exit_2(capsys):
@@ -403,13 +419,13 @@ def test_pulse_grid_error_prints_huge_values_short(capsys, args, message):
 
 
 def test_pulse_coarse_grid_exit_0(capsys):
-    # dt*Gamma 15: the preset's numbers at 1/32 of its steps
+    # dt*Gamma 15: the preset's numbers, to 4e-10, at 1/32 of its steps
     code, _, err = run(capsys, ["pulse", "--preset", "fig5a", "--n-t", "375"])
     assert code == 0
     assert err.splitlines() == [
-        "group_delay_us = 11.8486426",
-        "T_pulse = 0.000511087593  CE_pulse = 0.904353083  loss = "
-        "0.095135829"]
+        "group_delay_us = 11.7767092",
+        "T_pulse = 0.000509508697  CE_pulse = 0.904441529  loss = "
+        "0.0950489626"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,10 +580,12 @@ _GOLDEN_STDOUT = [
      "76905b9378c37a52e46cbaaf2b9adfb3dba066307d3ed5d6598bd900455bf8db"),
     (["sweep", "--preset", "fig4b", "--set", "gamma21=0", "--closed-form"],
      "af845cc29bc93bea2df0f1b774decd3e1ad55bca37fd4bdcafed8f81f0075b80"),
+    # every pulse document (here and the two below) is recorded from the
+    # first release with the exact, co-shifted pulse transfer
     (["pulse", "--preset", "fig5a"],
-     "da97be6a7999937c9245f39414d9863cc34c9c2ae9090e31e7ae8bbf0a60e164"),
+     "92eada2670d85b931526925adbab250a393815f8498d3fc6bff4bee57973d626"),
     (["pulse", "--preset", "fig5a", "--format", "json-like"],
-     "00e117afa393a88c29ef265f5f27de27fdf14c386ceac1c4a13991e824658aeb"),
+     "14a1b326ff72509796ab354c608b15f9de2d9de12e6f71af4d00370be89ed93f"),
     (["steady", "--preset", "fig4a", "--format", "json-like"],
      "bf10ea138cd475c67f1131e53b178e45cdc30281623ceb95393807634d1b4d29"),
     (["optimize-delta", "--preset", "fig4a", "--format", "json-like"],
@@ -576,13 +594,13 @@ _GOLDEN_STDOUT = [
      "753e65f023aedc8ca303016d47f791a20fd491355ff883bc5e44efbd8f285478"),
     (["preset", "fig4b"],
      "e1ff17ee1a2977078173a9416cc6e7102e3600de601f3aea552bce3a01a64ef8"),
-    # the pulse flags the benchmark's pulse ops pass, recorded from the
-    # release before the flags became PulseSpec fields
+    # the pulse flags the benchmark's pulse ops pass; the flags became
+    # PulseSpec fields with the output unchanged
     (_FLAT_TOP + ["--ramp-us", "2"],
-     "03ec78a7691b1adaaef8dd2218bb7bf63fc7a5abe06251e372e94bf1932c7ff4"),
+     "fef0c73ef5bfb03ad0fb9b217e594482777d818932728581568566bfead1f591"),
     (["pulse", "--preset", "fig2a", "--duration-us", "10", "--t-start-us",
       "5", "--t-max-us", "60", "--n-t", "6000"],
-     "ab567375756a38785e511a95214fa0636f595ae597f42522125e59595d33eaa4"),
+     "601ab67782b8603103b44c80ea68b7ea1dd7fbc987d75d399bbde44f6b0ab8ae"),
     # the closed-form paths, recorded from the release before closed-form
     # grids went through solve_grid
     (["sweep", "--preset", "fig4b", "--set", "gamma21=0", "--closed-form",

@@ -8,7 +8,6 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
                          MediumParams, PulseSpec, PulseTrace, dynamics,
                          energy_budget, figure_preset, group_delay,
                          simulate_pulse, transfer_solve)
-from dlambda_fwm.steady_numeric import _coefficients, _point
 from z_stepper import step_pulse
 
 # lighter grid used throughout: a 100 us window at the presets' time step
@@ -21,13 +20,13 @@ def _fig2a_trace(grid=LIGHT):
     return simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
 
 
-def _conversion_case(t_start=0.5e-6):
-    """A conversion pulse at low optical depth on a short grid; at the
-    default t_start the input starts below 1e-7 of its peak."""
+def _conversion_case():
+    """A short conversion pulse at low optical depth on a short grid; the
+    input starts below 1e-7 of its peak."""
     m = MediumParams(alpha=20.0, gamma21=7e-4, delta_kL=0.1 * math.pi)
     d = DriveParams(omega_c=1.2, omega_d=1.2)
     det = DetuningSet(delta=-0.02)
-    p = PulseSpec(shape="gaussian", duration=0.5e-6, t_start=t_start,
+    p = PulseSpec(shape="gaussian", duration=0.5e-6, t_start=0.5e-6,
                   grid=(0.0, 3e-6, 300))
     return m, d, det, p
 
@@ -55,7 +54,10 @@ def test_pulse_spec_validation():
 
 @pytest.mark.parametrize("grid", [(0.0, 1e-4, math.nan),
                                   (0.0, 1e-4, math.inf), (0.0, 1e-4),
-                                  ("a", 1, 2), (0.0, 2e-5, 1000.9)])
+                                  ("a", 1, 2), (0.0, 2e-5, 1000.9),
+                                  # ints beyond the float range
+                                  (0, 10**400, 1000),
+                                  (-10**400, 1e-3, 1000)])
 def test_pulse_spec_malformed_grid(grid):
     with pytest.raises(GridError):
         PulseSpec(shape="gaussian", duration=1e-6, grid=grid)
@@ -129,8 +131,8 @@ def test_coarse_grid_matches_fine_one():
         tr = simulate_pulse(pre.medium, pre.drive, pre.detuning, pulse)
         out.append((group_delay(tr), energy_budget(tr)))
     (delay, coarse), (delay_fine, fine) = out
-    assert f"{delay:.9g}" == f"{delay_fine:.9g}"
-    assert f"{coarse.ce_pulse:.9g}" == f"{fine.ce_pulse:.9g}"
+    assert delay == pytest.approx(delay_fine, rel=1e-9)
+    assert coarse.ce_pulse == pytest.approx(fine.ce_pulse, rel=1e-9)
     assert coarse.t_pulse == pytest.approx(fine.t_pulse, rel=1e-8)
 
 
@@ -148,6 +150,20 @@ def test_grid_error_short_window():
     with pytest.raises(GridError, match="3 group delays"):
         simulate_pulse(MediumParams(alpha=1000.0), DriveParams(omega_c=1.5),
                        DetuningSet(), p)
+
+
+@pytest.mark.parametrize("key", ["delta", "delta_p", "Delta"])
+def test_grid_error_shifted_detuning_beyond_the_float_range(key):
+    # dt*Gamma 3.1e-308 puts the outer bins near 1e308 in Gamma units;
+    # each bin shifts all three detunings, so a huge one of any of them
+    # is refused as a huge delta is
+    m, d = MediumParams(alpha=0.0, gamma_phys=2.6e-300), DriveParams(0.6)
+    p = PulseSpec("gaussian", 0.5e-6, t_start=0.5e-6, grid=(0.0, 12e-6, 1000))
+    simulate_pulse(m, d, DetuningSet(), p)
+    with pytest.raises(GridError, match=r"^time step too fine: dt\*Gamma = "
+                                        r"3\.12e-308 puts the frequency grid "
+                                        r"beyond the float range$"):
+        simulate_pulse(m, d, DetuningSet(**{key: 1e308}), p)
 
 
 # --- physics ----------------------------------------------------------------
@@ -174,8 +190,8 @@ def test_slow_light_delay_mot():
     pre = figure_preset("fig2a")
     expected = pre.medium.alpha / pre.drive.omega_c ** 2 / pre.medium.gamma_phys
     assert delay == pytest.approx(expected, rel=0.1)
-    assert delay == pytest.approx(3.31109e-6, rel=1e-4)
-    assert energy_budget(tr).t_pulse == pytest.approx(0.9711229, abs=1e-5)
+    assert delay == pytest.approx(3.31144e-6, rel=1e-4)
+    assert energy_budget(tr).t_pulse == pytest.approx(0.9711203, abs=1e-5)
 
 
 def test_causality_flat_top():
@@ -221,60 +237,13 @@ def test_refinement_converted_pulse_energies():
     assert abs(b1.t_pulse - b2.t_pulse) / b2.t_pulse < 5e-3
 
 
-def _stepped_boundary_fields(m, d, det, p, n_z):
-    """Reference for z_stepper.step_pulse: the same discrete model with the
-    fields marched slab by slab for every rho21 profile and the implicit
-    trapezoidal step solved by fixed-point iteration (dividing out the
-    stiff local factor 1 - dt*c1/2).  Returns (Op(L), Os(0)) per sample."""
-    _, _, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(**_point(m, d, det))
-    h = 1.0 / n_z
-
-    def march(z, f0, g):
-        p1 = (np.exp(z) - 1.0) / z
-        p2 = (np.exp(z) - 1.0 - z) / z ** 2
-        f = [f0]
-        for k in range(1, n_z + 1):
-            f.append(np.exp(z) * f[-1]
-                     + h * ((p1 - p2) * g[k - 1] + p2 * g[k]))
-        return np.array(f)
-
-    def fields(rho, u):
-        return (march(a_p * h, u, b_p * rho),
-                march(-a_s * h, 0.0, -b_s * rho[::-1])[::-1])
-
-    t = p.times()
-    u = p.amplitude(t)
-    dt = (t[1] - t[0]) * m.gamma_phys
-    rho = np.zeros(n_z + 1, dtype=complex)
-    op, os_ = fields(rho, u[0])
-    out = [(op[-1], os_[0])]
-    for u_next in u[1:]:
-        base = rho + (dt / 2.0) * (c1 * rho + c2 * op + c3 * os_)
-        new = rho
-        for _ in range(100):
-            op, os_ = fields(new, u_next)
-            new, old = ((base + (dt / 2.0) * (c2 * op + c3 * os_))
-                        / (1.0 - dt * c1 / 2.0), new)
-            if np.max(np.abs(new - old)) < 1e-15:
-                break
-        rho = new
-        op, os_ = fields(rho, u_next)
-        out.append((op[-1], os_[0]))
-    return np.array(out)
-
-
-def test_direct_step_matches_fixed_point_stepper():
-    m, d, det, p = _conversion_case(t_start=0.15e-6)
-    tr = step_pulse(m, d, det, p, n_z=50)
-    ref = np.abs(_stepped_boundary_fields(m, d, det, p, n_z=50)) ** 2
-    assert ref[:, 1].max() > 0.1           # the signal is really converted
-    np.testing.assert_allclose(tr.probe_out, ref[:, 0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(tr.signal_out, ref[:, 1], rtol=0, atol=1e-12)
-
-
 def test_stepper_converges_to_frequency_domain_second_order():
-    # the z-grid stepper is second order in dz and dt jointly: halving both
-    # cuts its CE_pulse error against the exact-in-z propagator fourfold
+    # the z-grid stepper of the full model (every coherence dynamic) is
+    # second order in dz and dt jointly: halving both cuts its CE_pulse
+    # error against the frequency-domain propagator fourfold.  A 0.5 us
+    # pulse is short enough that the optical coherences' own dynamics
+    # matter: with them eliminated adiabatically, the error stalls at
+    # -0.022
     m, d, det, p = _conversion_case()
     exact = energy_budget(simulate_pulse(m, d, det, p)).ce_pulse
     err = [energy_budget(step_pulse(m, d, det, replace(
@@ -288,8 +257,8 @@ def test_pulsed_conversion_dense_optimum():
     pre = figure_preset("fig5a")
     tr = simulate_pulse(pre.medium, pre.drive, pre.detuning, pre.pulse)
     b = energy_budget(tr)
-    assert b.ce_pulse == pytest.approx(0.904353, abs=1e-4)
-    assert b.t_pulse == pytest.approx(5.1376e-4, rel=1e-2)
+    assert b.ce_pulse == pytest.approx(0.904442, abs=1e-4)
+    assert b.t_pulse == pytest.approx(5.0951e-4, rel=1e-2)
     assert not b.truncated
     # pulsed conversion stays a few points below the steady-state value
     steady = transfer_solve(pre.drive, pre.detuning, pre.medium)
@@ -302,10 +271,10 @@ def test_pulsed_conversion_far_detuned():
         pre = figure_preset(name)
         tr = simulate_pulse(pre.medium, pre.drive, pre.detuning, pre.pulse)
         ce[name] = energy_budget(tr).ce_pulse
-    assert ce["fig5b"] == pytest.approx(0.713535, abs=1e-4)
-    assert ce["fig5c"] == pytest.approx(0.714722, abs=1e-4)
+    assert ce["fig5b"] == pytest.approx(0.713548, abs=1e-4)
+    assert ce["fig5c"] == pytest.approx(0.714734, abs=1e-4)
     # detuning away from the optimum costs ~0.19 of pulsed efficiency
-    drop = 0.904353 - ce["fig5c"]
+    drop = 0.904442 - ce["fig5c"]
     assert drop == pytest.approx(0.189, abs=0.01)
     assert drop >= 0.15
 
