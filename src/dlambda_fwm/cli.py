@@ -58,9 +58,10 @@ def _add_common(sub, solver=True):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.  It is never
-    mutated afterwards: parse_args returns a fresh Namespace each call."""
+def _build_parser() -> tuple:
+    """(parser, commands): the one parser of this process and each
+    subcommand's own parser by name, built on first use.  They are never
+    mutated afterwards: each parse returns a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="dlambda-fwm",
         description="Backward four-wave-mixing frequency conversion in an "
@@ -69,15 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version",
                    version=f"dlambda-fwm {__version__}")
     subs = p.add_subparsers(dest="cmd")
+    commands = {}
 
-    s = subs.add_parser("steady", help="steady-state T/CE/loss at one point")
+    def command(name, **kw):
+        commands[name] = subs.add_parser(name, **kw)
+        return commands[name]
+
+    s = command("steady", help="steady-state T/CE/loss at one point")
     _add_common(s)
 
-    s = subs.add_parser("optimize-delta",
-                        help="quasi-phase-matching two-photon detuning")
+    s = command("optimize-delta",
+                help="quasi-phase-matching two-photon detuning")
     _add_common(s, solver=False)
 
-    s = subs.add_parser("sweep", help="sweep a variable, emit a dataset")
+    s = command("sweep", help="sweep a variable, emit a dataset")
     _add_common(s)
     s.add_argument("--variable", choices=SWEEP_VARIABLES,
                    help="sweep axis (defaults to the preset's)")
@@ -86,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         + ", ".join(f"{v}: {unit}" for v, unit
                                     in SWEEP_VARIABLES.items()) + ")")
 
-    s = subs.add_parser("pulse", help="time-domain pulse propagation")
+    s = command("pulse", help="time-domain pulse propagation")
     _add_common(s, solver=False)
     # each flag sets the PulseSpec field its dest names
     s.add_argument("--shape", choices=("gaussian", "flat_top"))
@@ -97,15 +103,15 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t-max-us", dest="t_max", type=microseconds)
     s.add_argument("--n-t", type=int)
 
-    s = subs.add_parser("bandwidth", help="conversion FWHM in MHz")
+    s = command("bandwidth", help="conversion FWHM in MHz")
     _add_common(s, solver=False)
 
-    s = subs.add_parser("preset", help="print a preset as config key=values")
+    s = command("preset", help="print a preset as config key=values")
     s.add_argument("name", choices=PRESET_NAMES)
 
-    s = subs.add_parser("validate", help="run the acceptance battery")
+    command("validate", help="run the acceptance battery")
 
-    return p
+    return p, commands
 
 
 def _load_bundle(args):
@@ -126,12 +132,13 @@ def _load_bundle(args):
 
 
 def _emit(args, blocks):
-    """Write each text block of ``blocks`` to --out or stdout."""
+    """Write each block of ``blocks``, UTF-8 bytes, to --out as it is or to
+    stdout decoded, so that any text stream can stand in for it."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "wb") as fh:
             fh.writelines(blocks)
     else:
-        sys.stdout.writelines(blocks)
+        sys.stdout.writelines(block.decode() for block in blocks)
 
 
 def _cmd_steady(args) -> int:
@@ -145,15 +152,15 @@ def _cmd_steady(args) -> int:
                                         det.delta_p, det.Delta) is None:
         cf = complex(solve_grid(m, d, det, closed_form=True)[1])
         values["closed_form_ce_discrepancy"] = abs(abs(cf) ** 2 - r.ce)
-    _emit(args, [render_values(values, args.format)])
+    _emit(args, [render_values(values, args.format).encode()])
     return 0
 
 
 def _cmd_optimize_delta(args) -> int:
     (m, d, det), _ = _load_bundle(args)
     r = optimal_delta(m, d.omega_c)
-    _emit(args, [render_values({"delta_star_gamma": r.delta,
-                                "delta_star_khz": r.delta_khz}, args.format)])
+    values = {"delta_star_gamma": r.delta, "delta_star_khz": r.delta_khz}
+    _emit(args, [render_values(values, args.format).encode()])
     return 0
 
 
@@ -237,7 +244,7 @@ def _cmd_bandwidth(args) -> int:
               file=sys.stderr)
     else:
         fwhm = bandwidth_fwhm(m, d, det)
-    _emit(args, [render_values({"fwhm_mhz": fwhm}, args.format)])
+    _emit(args, [render_values({"fwhm_mhz": fwhm}, args.format).encode()])
     return 0
 
 
@@ -270,9 +277,18 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            # one parse, by the subcommand's parser: what the top-level
+            # parser would hand it, with its report of leftovers
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.cmd = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if args.cmd is None:

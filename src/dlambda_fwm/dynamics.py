@@ -64,6 +64,15 @@ MAX_N_T = 10 ** 6
 KERNEL_CHUNK = 2 ** 15
 
 
+def _echo(value, show) -> str:
+    """show(value) for an error message, or a note in its place where value
+    is or holds an int with more digits than str() may convert."""
+    try:
+        return show(value)
+    except ValueError:
+        return "a value too long to print"
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Input probe pulse description.
@@ -116,7 +125,7 @@ class PulseSpec:
                             "beyond the float range") from None
         except (TypeError, ValueError):
             raise GridError("grid must be three numbers (t_min, t_max, n_t), "
-                            f"got {self.grid!r}") from None
+                            f"got {_echo(self.grid, repr)}") from None
         if not finite:
             raise GridError(f"time grid bounds must be finite, and so must "
                             f"their squares, got ({t_min}, {t_max})")
@@ -124,7 +133,7 @@ class PulseSpec:
             raise GridError(f"empty time grid ({t_min}, {t_max})")
         if not n_t_ok:
             raise GridError(f"n_t must be an integer in [100, {MAX_N_T}], "
-                            f"got {n_t}")
+                            f"got {_echo(n_t, str)}")
         name, feature = ("duration", self.duration) \
             if self.shape == "gaussian" else ("ramp", self.ramp)
         dt = (t_max - t_min) / n_t

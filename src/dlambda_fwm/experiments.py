@@ -57,7 +57,8 @@ class SweepSpec:
         if g.size > MAX_SWEEP_POINTS:
             raise GridError(f"sweep grid has {g.size} points, more than "
                             f"{MAX_SWEEP_POINTS}")
-        if g.size > 1 and not (np.all(np.diff(g) > 0) or np.all(np.diff(g) < 0)):
+        step = np.diff(g)     # empty for one point, which passes
+        if not (np.all(step > 0) or np.all(step < 0)):
             raise DomainError("sweep grid must be strictly monotonic")
         if SWEEP_VARIABLES[self.variable] == "kHz":
             # monotonic, so the ends are the extremes
@@ -297,19 +298,21 @@ def _render_dataset(meta: dict, columns: tuple, data: tuple, format: str):
     """A dataset, given as a tuple of equal-length float arrays, one per
     name in ``columns``, as CSV under its metadata comments or as a JSON
     object; rows exist only in the output.  Yields the document in blocks
-    of text: the CSV header, then CSV_BLOCK_ROWS rows at a time (the JSON
-    object is one block)."""
+    of UTF-8 bytes: the CSV header, then CSV_BLOCK_ROWS rows at a time (the
+    JSON object is one block).  Bytes ``%`` formats a float as str ``%``
+    does, digit for digit."""
     if format == "json-like":
         yield render_values({"version": __version__, "metadata": meta,
                              "columns": list(columns),
-                             "rows": np.column_stack(data).tolist()}, format)
+                             "rows": np.column_stack(data).tolist()},
+                            format).encode()
         return
     lines = [f"# dlambda-fwm v{__version__}"]
     lines += [f"# {k}={fmt(v) if isinstance(v, float) else v}"
               for k, v in meta.items()]
     lines.append(",".join(columns))
-    yield "\n".join(lines) + "\n"
-    row = ",".join([NUMBER] * len(columns)) + "\n"
+    yield ("\n".join(lines) + "\n").encode()
+    row = ",".join([NUMBER] * len(columns)).encode() + b"\n"
     for i in range(0, len(data[0]), CSV_BLOCK_ROWS):
         block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in data])
         yield row * len(block) % tuple(block.ravel().tolist())
@@ -317,14 +320,14 @@ def _render_dataset(meta: dict, columns: tuple, data: tuple, format: str):
 
 def sweep_blocks(r: SweepResult, format: str = "csv"):
     """The sweep ``r`` as a dataset document, csv or json-like, in the
-    blocks of text _render_dataset yields."""
+    blocks of bytes _render_dataset yields."""
     return _render_dataset(r.metadata, SWEEP_COLUMNS,
                            (r.value, r.transmittance, r.ce, r.loss), format)
 
 
 def pulse_blocks(trace, meta: dict, format: str = "csv"):
     """The pulse ``trace`` under ``meta`` as a dataset document, csv or
-    json-like, in the blocks of text _render_dataset yields."""
+    json-like, in the blocks of bytes _render_dataset yields."""
     return _render_dataset(meta, PULSE_COLUMNS,
                            (trace.t * 1e6, trace.probe_in, trace.probe_out,
                             trace.signal_out), format)
@@ -332,10 +335,10 @@ def pulse_blocks(trace, meta: dict, format: str = "csv"):
 
 def sweep_csv(r: SweepResult, format: str = "csv") -> str:
     """The sweep ``r`` as one dataset document, csv or json-like."""
-    return "".join(sweep_blocks(r, format))
+    return b"".join(sweep_blocks(r, format)).decode()
 
 
 def pulse_csv(trace, meta: dict, format: str = "csv") -> str:
     """The pulse ``trace`` under ``meta`` as one dataset document, csv or
     json-like."""
-    return "".join(pulse_blocks(trace, meta, format))
+    return b"".join(pulse_blocks(trace, meta, format)).decode()

@@ -155,14 +155,17 @@ class SteadyResult:
             f"(T={t:.6g}, CE={c:.6g})")
 
 
-def replace_param(bundle: tuple, name: str, value) -> tuple:
-    """(m, d, det) with field ``name`` set to ``value`` in whichever of the
-    three owns it, through that dataclass's invariants (else TypeError)."""
-    for i, part in enumerate(bundle):
-        if name in part.__dataclass_fields__:
-            return (*bundle[:i], replace(part, **{name: value}),
-                    *bundle[i + 1:])
-    raise TypeError(f"no parameter named {name!r}")
+def replace_params(bundle: tuple, **values) -> tuple:
+    """(m, d, det) with each field of ``values`` set in whichever of the
+    three owns it, one replace, through its invariants, per dataclass that
+    owns any (a name none owns is a TypeError)."""
+    parts, left = [], dict(values)
+    for part in bundle:
+        own = {k: left.pop(k) for k in part.__dataclass_fields__ if k in left}
+        parts.append(replace(part, **own) if own else part)
+    if left:
+        raise TypeError(f"no parameter named {next(iter(left))!r}")
+    return tuple(parts)
 
 
 def khz_to_gamma(f_khz: float, gamma_phys: float = GAMMA_PHYS_DEFAULT) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import BoundarySolveError, DomainError, located
 from .params import (PASSIVITY_SLACK, DetuningSet, DriveParams, MediumParams,
-                     SteadyResult, replace_param)
+                     SteadyResult, replace_params)
 from .steady_analytic import (_CMATH, _REJUDGED, _TOLERATED, _UFUNCS,
                               _amplitudes, _rejudge, _require_regime)
 
@@ -191,11 +191,9 @@ def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
     for i in sorted(ends):
         i = np.unravel_index(i, shape)
         with located({name: v[i] for name, v in zip(at, grid[len(axes):])}):
-            point = bundle
-            for name, v in zip(axes, grid):
-                point = replace_param(point, name, float(v[i]))
+            m, d, det = replace_params(bundle, **{
+                name: float(v[i]) for name, v in zip(axes, grid)})
             if closed_form:
-                m, d, det = point
                 _require_regime(m, d.omega_c, d.omega_d, det.delta_p,
                                 det.Delta)
 

@@ -625,6 +625,76 @@ def test_dataset_stdout_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_GOLDEN_DATASETS = [(a, d) for a, d in _GOLDEN_STDOUT if a[0] != "preset"]
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN_DATASETS,
+                         ids=[" ".join(a) for a, _ in _GOLDEN_DATASETS])
+def test_out_file_is_the_stdout_bytes(tmp_path, capsys, argv, digest):
+    # --out gets the document's bytes as they are, stdout its text
+    path = tmp_path / "doc"
+    assert run(capsys, [*argv, "--out", str(path)])[:2] == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("format", ["csv", "json-like"])
+def test_dataset_strings_are_the_golden_documents(format):
+    # sweep_csv and pulse_csv return the text the CLI prints
+    experiments = dlambda_fwm.experiments
+    golden = {tuple(a): d for a, d in _GOLDEN_STDOUT}
+    tail = ("--format", "json-like") if format == "json-like" else ()
+    sweep = experiments.run_sweep(experiments.figure_preset("fig3a").sweep)
+    text = experiments.sweep_csv(sweep, format)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == golden[("sweep", "--preset", "fig3a", *tail)]
+    pre = experiments.figure_preset("fig5a")
+    trace = dlambda_fwm.simulate_pulse(pre.medium, pre.drive, pre.detuning,
+                                       pre.pulse)
+    meta = dlambda_fwm.params.metadata_echo(pre.medium, pre.drive,
+                                            pre.detuning)
+    meta.update(shape=pre.pulse.shape, duration_us=pre.pulse.duration * 1e6,
+                n_t=pre.pulse.grid[2])
+    text = experiments.pulse_csv(trace, meta, format)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == golden[("pulse", "--preset", "fig5a", *tail)]
+
+
+def _top_level_parse(capsys, argv):
+    """(code, out, err) of parsing ``argv`` with the top-level parser, the
+    way main parsed every argument list before subcommands parsed their
+    own; None for an argument list that parses."""
+    parser = cli._build_parser()[0]
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        code = 0 if exc.code in (0, None) else 1
+    else:
+        if args.cmd is not None:
+            return None
+        parser.print_usage(sys.stderr)
+        code = 1
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_PARSE_ANSWERS = [[], ["--version"], ["nosuch"]] + [
+    [cmd, *tail] for cmd in cli._DISPATCH
+    for tail in (["-h"], ["--format", "xml"], ["--preset"],
+                 ["--preset", "fig4b", "--bogus"])]
+
+
+@pytest.mark.parametrize("argv", _PARSE_ANSWERS,
+                         ids=[" ".join(a) or "(none)" for a in _PARSE_ANSWERS])
+def test_one_parse_answers_as_the_top_level_parser(capsys, argv):
+    # a subcommand's arguments are parsed by its own parser alone; help,
+    # every argparse error and its exit code stay those of a parse by the
+    # top-level parser, to the byte
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == _top_level_parse(capsys, argv)
+    assert code == (0 if {"-h", "--version"} & set(argv) else 1)
+    assert (out if code == 0 else err) and not (out and err)
+
+
 def test_pulse_ramp_defaults_to_a_tenth_of_duration(capsys):
     # a left-out --ramp-us is PulseSpec's default, duration/10, not the
     # preset pulse's ramp

@@ -57,7 +57,11 @@ def test_pulse_spec_validation():
                                   ("a", 1, 2), (0.0, 2e-5, 1000.9),
                                   # ints beyond the float range
                                   (0, 10**400, 1000),
-                                  (-10**400, 1e-3, 1000)])
+                                  (-10**400, 1e-3, 1000),
+                                  # ints too long for str(): the messages
+                                  # do not echo them
+                                  (0.0, 1e-3, 10**5000),
+                                  ("a", 10**5000, 1000)])
 def test_pulse_spec_malformed_grid(grid):
     with pytest.raises(GridError):
         PulseSpec(shape="gaussian", duration=1e-6, grid=grid)

@@ -13,7 +13,7 @@ from dlambda_fwm import (DetuningSet, DomainError, DriveParams, GridError,
 from dlambda_fwm import experiments, steady_numeric
 from dlambda_fwm.experiments import (PRESET_NAMES, SWEEP_VARIABLES,
                                      metadata_echo, pulse_csv)
-from dlambda_fwm.params import replace_param
+from dlambda_fwm.params import replace_params
 
 
 def _fig4b():
@@ -71,8 +71,8 @@ def test_sweep_point_matches_direct_solve():
         for value, t, ce in zip(res.value, res.transmittance, res.ce):
             if SWEEP_VARIABLES[variable] == "kHz":
                 value = khz_to_gamma(value)
-            m, d, det = replace_param((pre.medium, pre.drive, pre.detuning),
-                                      variable, value)
+            m, d, det = replace_params((pre.medium, pre.drive, pre.detuning),
+                                       **{variable: value})
             direct = transfer_solve(d, det, m)
             assert t == pytest.approx(direct.transmittance, rel=1e-14)
             assert ce == pytest.approx(direct.ce, rel=1e-14)

@@ -6,7 +6,7 @@ import pytest
 from dlambda_fwm import (ConfigError, DetuningSet, DomainError, DriveParams,
                          MediumParams, SteadyResult, gamma_to_khz,
                          khz_to_gamma, parse_config)
-from dlambda_fwm.params import CONFIG_KEYS, parse_pair, replace_param
+from dlambda_fwm.params import CONFIG_KEYS, parse_pair, replace_params
 
 
 def test_khz_to_gamma_reference_points():
@@ -236,10 +236,10 @@ def test_steady_result_passivity_guard():
 def test_replace_param_sets_the_owning_field():
     bundle = (MediumParams(alpha=1.0), DriveParams(omega_c=1.0),
               DetuningSet())
-    m, d, det = replace_param(bundle, "omega_d", 0.5)
+    m, d, det = replace_params(bundle, omega_d=0.5)
     assert (m, det) == (bundle[0], bundle[2]) and d.omega_d == 0.5
-    assert replace_param(bundle, "Delta", 0.25)[2].Delta == 0.25
+    assert replace_params(bundle, Delta=0.25)[2].Delta == 0.25
     with pytest.raises(DomainError, match="gamma41 must be > 0"):
-        replace_param(bundle, "gamma41", 0.0)
+        replace_params(bundle, gamma41=0.0)
     with pytest.raises(TypeError):
-        replace_param(bundle, "detla", 0.0)
+        replace_params(bundle, detla=0.0)
