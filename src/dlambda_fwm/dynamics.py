@@ -103,6 +103,12 @@ class PulseSpec:
     def __post_init__(self):
         if self.shape not in ("gaussian", "flat_top"):
             raise DomainError(f"unknown pulse shape {self.shape!r}")
+        for name in ("duration", "t_start", "ramp"):
+            v = getattr(self, name)
+            # float arithmetic on such an int raises OverflowError
+            if isinstance(v, int) and not abs(v) <= sys.float_info.max:
+                raise DomainError(f"{name} = {_echo(v, str)} is beyond the "
+                                  "float range")
         if not self.duration > 0.0:
             raise DomainError(f"duration must be > 0, got {self.duration}")
         if self.ramp is None:

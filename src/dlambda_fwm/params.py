@@ -130,19 +130,20 @@ class SteadyResult:
     ce: float = field(init=False)
     loss: float = field(init=False)
 
-    def __post_init__(self):
-        # one test on the fast path: T + CE <= 1 fails for a NaN or
-        # infinite amplitude too, and _refuse names what went wrong
+    def __init__(self, probe_out: complex, signal_out: complex):
+        # written out, not generated, to store the five fields in one
+        # step (@dataclass keeps an __init__ the class defines)
         try:
-            t = abs(self.probe_out) ** 2
-            c = abs(self.signal_out) ** 2
+            t = abs(probe_out) ** 2
+            c = abs(signal_out) ** 2
         except OverflowError:
             t = c = math.nan
+        self.__dict__.update(probe_out=probe_out, signal_out=signal_out,
+                             transmittance=t, ce=c, loss=1.0 - t - c)
+        # one test on the fast path: T + CE <= 1 fails for a NaN or
+        # infinite amplitude too, and _refuse names what went wrong
         if not t + c <= 1.0 + PASSIVITY_SLACK:
             self._refuse(t, c)
-        object.__setattr__(self, "transmittance", t)
-        object.__setattr__(self, "ce", c)
-        object.__setattr__(self, "loss", 1.0 - t - c)
 
     def _refuse(self, t: float, c: float):
         _require_finite(self, ("probe_out", "signal_out"))

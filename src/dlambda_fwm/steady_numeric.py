@@ -54,17 +54,24 @@ LOG_T11_MIN = math.log(1e-14)
 _LOG_2 = math.log(2.0)
 
 
+#: the kernel's parameters in _coefficients' order, which takes them
+#: positionally: the fields _point reads and the axes solve_grid accepts
+_POINT_NAMES = ("alpha", "gamma21", "gamma31", "gamma41", "delta_kL",
+                "omega_c", "omega_d", "delta", "delta_p", "Delta")
+_GAMMA31 = _POINT_NAMES.index("gamma31")
+_GAMMA41 = _POINT_NAMES.index("gamma41")
+
+
 def _point(m: MediumParams, d: DriveParams, det: DetuningSet,
-           number=lambda x: x) -> dict:
+           number=lambda x: x) -> tuple:
     """Kernel parameters of one point, each through ``number``: as given,
     or float for the scalar kernel, where a numpy.float64 field then
-    computes as the equal float.  Array values make a grid.  The keys are
-    in _coefficients' parameter order, which takes them positionally."""
-    return {"alpha": number(m.alpha), "gamma21": number(m.gamma21),
-            "gamma31": number(m.gamma31), "gamma41": number(m.gamma41),
-            "delta_kL": number(m.delta_kL), "omega_c": number(d.omega_c),
-            "omega_d": number(d.omega_d), "delta": number(det.delta),
-            "delta_p": number(det.delta_p), "Delta": number(det.Delta)}
+    computes as the equal float.  Array values make a grid.  A tuple in
+    the order of _POINT_NAMES."""
+    return (number(m.alpha), number(m.gamma21), number(m.gamma31),
+            number(m.gamma41), number(m.delta_kL), number(d.omega_c),
+            number(d.omega_d), number(det.delta), number(det.delta_p),
+            number(det.Delta))
 
 
 def _coefficients(alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
@@ -95,14 +102,14 @@ def _coefficients(alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
     return d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s
 
 
-def _eliminate(p: dict, fn=_UFUNCS) -> tuple:
+def _eliminate(p: tuple, fn=_UFUNCS) -> tuple:
     """(d31, d41, g_p, g_s, (m00, m01, m10, m11)): rho21 = g_p*Op + g_s*Os
     and the entries of M*L.
 
     Re c1 < 0 whenever a drive is on, so c1 vanishes only with both drives
     off (and gamma21 = delta = 0), where c2 = c3 = 0 and rho21 = 0.
     """
-    d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(*p.values())
+    d31, d41, c1, c2, c3, a_p, b_p, a_s, b_s = _coefficients(*p)
     # every path rounds the gains as the grid does (numpy's division):
     # s^2 cancels their products
     g_p, g_s = fn.gains(c1, c2, c3)
@@ -110,7 +117,7 @@ def _eliminate(p: dict, fn=_UFUNCS) -> tuple:
                                 b_s * g_p, a_s + b_s * g_s)
 
 
-def _transfer(p: dict, fn=_UFUNCS) -> tuple:
+def _transfer(p: tuple, fn=_UFUNCS) -> tuple:
     """The kernel: (probe_out, signal_out, log|T[1,1]|) on parameter
     arrays, or on Python floats with fn=_CMATH.
 
@@ -141,7 +148,7 @@ def _transfer(p: dict, fn=_UFUNCS) -> tuple:
     den = 1.0 + th * n11
     q = (1.0 + fn.exp(-2.0 * s)) * den      # 2 e^(-s) cosh(s) den
     # sign and photon-number factor meet as scalars, before th
-    signal = -(p["gamma31"] / p["gamma41"]) ** 0.5 * th * m10 / den
+    signal = -(p[_GAMMA31] / p[_GAMMA41]) ** 0.5 * th * m10 / den
     probe = 2.0 * fn.exp(mu - s) / q
     # log|T11| = Re mu + log|cosh s| + log|den|
     log_t11 = mu.real + s.real - _LOG_2 + fn.log(abs(q))
@@ -185,7 +192,8 @@ def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
     ends = {int(f(v)) for v in grid[:len(axes)] or [np.zeros(shape)]
             if v.size for f in (np.argmin, np.argmax)}
     if closed_form:
-        on = _point(*bundle) | dict(zip(axes, grid))
+        on = dict(zip(_POINT_NAMES, _point(*bundle)))
+        on.update(zip(axes, grid))
         unbalanced = np.broadcast_to(on["omega_c"] != on["omega_d"], shape)
         ends.update(np.flatnonzero(unbalanced)[:1].tolist())
     for i in sorted(ends):
@@ -215,12 +223,16 @@ def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
     """
     at = axes if at is None else at
     _check_axes((m, d, det), at, axes, closed_form)
-    p = _point(m, d, det)
-    p.update(axes)
+    p = list(_point(m, d, det))
+    for name, values in axes.items():
+        if name not in _POINT_NAMES:    # gamma_phys: not a kernel parameter
+            raise TypeError(f"no kernel parameter named {name!r}")
+        p[_POINT_NAMES.index(name)] = values
     if closed_form:
         # in regime omega_d = omega_c and the other parameters are fixed
-        return _checked(at, *_amplitudes(p["alpha"], p["delta_kL"],
-                                         p["omega_c"], p["delta"]))
+        on = dict(zip(_POINT_NAMES, p))
+        return _checked(at, *_amplitudes(on["alpha"], on["delta_kL"],
+                                         on["omega_c"], on["delta"]))
     return _checked(at, *_transfer(p))
 
 

@@ -67,6 +67,21 @@ def test_pulse_spec_malformed_grid(grid):
         PulseSpec(shape="gaussian", duration=1e-6, grid=grid)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("field", ["duration", "t_start", "ramp"])
+def test_pulse_spec_refuses_ints_beyond_the_float_range(field, sign):
+    # float arithmetic on them raises OverflowError, and an int too long
+    # for str() is not echoed
+    spec = {"duration": 1e-6, "ramp": 1e-7, field: sign * 10**5000}
+    with pytest.raises(DomainError, match=rf"^{field} = a value too long to "
+                                          "print is beyond the float range$"):
+        PulseSpec("flat_top", **spec)
+    spec[field] = sign * 10**400
+    with pytest.raises(DomainError, match=rf"^{field} = -?10{{400}} is "
+                                          "beyond the float range$"):
+        PulseSpec("flat_top", **spec)
+
+
 def test_pulse_spec_step_resolves_the_shortest_feature():
     assert dynamics.STEPS_PER_FEATURE == 8
     # 8 steps of 0.125 us per 1 us width pass, 7.9 do not

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -223,14 +225,48 @@ def test_steady_result_fields():
 
 
 def test_steady_result_passivity_guard():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^passivity violated: T \+ CE = 2 "
+                                          r"> 1 \(T=1, CE=1\)$"):
         SteadyResult(probe_out=1.0, signal_out=1.0)
     # NaN compares False against the passivity bound; it must still fail
-    with pytest.raises(DomainError, match="probe_out must be finite"):
+    with pytest.raises(DomainError,
+                       match=r"^probe_out must be finite, got \(nan\+0j\)$"):
         SteadyResult(probe_out=complex("nan"), signal_out=0.0)
     # squaring a finite amplitude above ~1e154 overflows a Python float
-    with pytest.raises(DomainError, match="overflows"):
+    with pytest.raises(DomainError, match=r"^passivity violated: T \+ CE "
+                                          r"overflows \(probe_out=1e\+200, "
+                                          r"signal_out=0\)$"):
         SteadyResult(probe_out=1e200, signal_out=0.0)
+
+
+def test_steady_result_keeps_the_dataclass_contract():
+    # __init__ is written out; what @dataclass generates around it stays
+    assert [f.name for f in dataclasses.fields(SteadyResult)] == [
+        "probe_out", "signal_out", "transmittance", "ce", "loss"]
+    assert [f.name for f in dataclasses.fields(SteadyResult) if f.init] == [
+        "probe_out", "signal_out"]
+    r = SteadyResult(0.6, 0.8j)
+    assert r == SteadyResult(probe_out=0.6, signal_out=0.8j)
+    assert hash(r) == hash(SteadyResult(signal_out=0.8j, probe_out=0.6))
+    assert r != SteadyResult(0.8j, 0.6)
+    assert repr(r) == ("SteadyResult(probe_out=0.6, signal_out=0.8j, "
+                       f"transmittance={0.6 ** 2!r}, ce={0.8 ** 2!r}, "
+                       f"loss={1.0 - 0.6 ** 2 - 0.8 ** 2!r})")
+    with pytest.raises(TypeError):
+        SteadyResult(0.6)
+    with pytest.raises(TypeError):
+        SteadyResult(0.6, 0.8j, transmittance=0.36)
+    # replace goes through __init__: T, CE and loss follow the new field
+    s = dataclasses.replace(r, probe_out=0.5j)
+    assert (s.probe_out, s.signal_out) == (0.5j, 0.8j)
+    assert (s.transmittance, s.ce, s.loss) == (0.25, r.ce, 1.0 - 0.25 - r.ce)
+    with pytest.raises(DomainError, match="passivity violated"):
+        dataclasses.replace(r, probe_out=0.9)
+    for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert twin == r and repr(twin) == repr(r)
+    for name in ("probe_out", "ce"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, 0.0)
 
 
 def test_replace_param_sets_the_owning_field():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -347,6 +348,35 @@ def test_solve_grid_without_axes_adds_no_location():
 def test_solve_grid_rejects_unknown_axis():
     with pytest.raises(TypeError):
         solve_grid(*DENSE, detla=np.zeros(3))
+    # a field that is no kernel parameter, and a name with no values to
+    # check, are refused on either solver
+    in_regime = (MediumParams(alpha=130.0), DriveParams(1.2, 1.2),
+                 DetuningSet())
+    for base, closed_form in ((DENSE, False), (in_regime, True)):
+        with pytest.raises(TypeError, match="no kernel parameter named"):
+            solve_grid(*base, closed_form=closed_form,
+                       gamma_phys=np.full(3, 1e7))
+        with pytest.raises(TypeError):
+            solve_grid(*base, closed_form=closed_form, detla=np.zeros(0))
+
+
+def test_kernel_point_order_has_one_source():
+    # _coefficients takes the point positionally: a table out of its
+    # order, or a _point that reads another field, would solve silently
+    # wrong
+    names = steady_numeric._POINT_NAMES
+    assert names == tuple(
+        inspect.signature(steady_numeric._coefficients).parameters)
+    bundle = (MediumParams(alpha=1.5, gamma21=0.25, gamma31=0.75,
+                           gamma41=1.25, delta_kL=0.5),
+              DriveParams(omega_c=2.5, omega_d=3.5),
+              DetuningSet(delta=-0.125, delta_p=0.375, Delta=-0.625))
+    fields = {f: getattr(part, f) for part in bundle
+              for f in part.__dataclass_fields__}
+    assert len(set(fields.values())) == len(fields)
+    assert steady_numeric._point(*bundle) == tuple(fields[n] for n in names)
+    assert steady_numeric._point(*bundle, float) == tuple(
+        fields[n] for n in names)
 
 
 def test_passivity_check_fails_on_a_rejected_point(monkeypatch):
