@@ -12,8 +12,7 @@ from .params import (DetuningSet, DriveParams, MediumParams, SteadyResult,
                      gamma_to_khz, khz_to_gamma, parse_config)
 from .steady_numeric import (coupling_matrix, linear_response, solve_grid,
                              transfer_solve)
-from .steady_analytic import (OptimalDelta, eit_phase_shift, optimal_delta,
-                              steady_closed_form)
+from .steady_analytic import OptimalDelta, optimal_delta, steady_closed_form
 from .dynamics import (EnergyBudget, PulseSpec, PulseTrace, energy_budget,
                        group_delay, simulate_pulse)
 from .experiments import (FigurePreset, PeakResult, SweepResult, SweepSpec,
@@ -25,7 +24,7 @@ __all__ = [
     "MediumParams", "DriveParams", "DetuningSet", "SteadyResult",
     "khz_to_gamma", "gamma_to_khz", "parse_config",
     "linear_response", "coupling_matrix", "transfer_solve", "solve_grid",
-    "OptimalDelta", "steady_closed_form", "optimal_delta", "eit_phase_shift",
+    "OptimalDelta", "steady_closed_form", "optimal_delta",
     "PulseSpec", "PulseTrace", "EnergyBudget", "simulate_pulse",
     "group_delay", "energy_budget",
     "SweepSpec", "SweepResult", "PeakResult", "FigurePreset", "run_sweep",

@@ -155,7 +155,7 @@ def regime_error(m: MediumParams, omega_c: float, omega_d: float,
     if m.gamma21 != 0.0:
         return RegimeError(
             f"closed form assumes gamma21 = 0, got {m.gamma21}; "
-            "use steady_numeric.transfer_solve")
+            "use the exact solver (transfer_solve, or --exact)")
     if m.gamma31 != 1.0 or m.gamma41 != 1.0:
         return RegimeError(
             "closed form assumes gamma31 = gamma41 = 1 (decay at the rate "
@@ -191,20 +191,15 @@ def _amplitudes(alpha, delta_kL, omega, delta, fn=_UFUNCS) -> tuple:
     return probe, signal
 
 
-def _require_regime(*point) -> None:
-    """Raise the error regime_error(*point) returns, if any."""
-    err = regime_error(*point)
-    if err is not None:
-        raise err
-
-
 def steady_closed_form(m: MediumParams, omega: float,
                        delta: float) -> SteadyResult:
     """Closed-form boundary amplitudes and efficiencies.
 
     Raises the error of regime_error outside the balanced lossless regime.
     """
-    _require_regime(m, omega, omega)
+    err = regime_error(m, omega, omega)
+    if err is not None:
+        raise err
     try:
         return SteadyResult(*_amplitudes(
             float(m.alpha), float(m.delta_kL), float(omega), float(delta),
@@ -230,20 +225,3 @@ def optimal_delta(m: MediumParams, omega: float) -> OptimalDelta:
                           f"for omega={omega}, alpha={m.alpha}")
     return OptimalDelta(delta=delta,
                         delta_khz=gamma_to_khz(delta, m.gamma_phys))
-
-
-def eit_phase_shift(m: MediumParams, omega_c: float, delta: float) -> float:
-    """First-order estimate of the probe phase shift from detuned
-    transparency: phi = delta * alpha / omega_c**2 (radians).
-
-    This is the leading term of the dispersion across the transparency
-    window; it is an estimate, not the full output phase.
-    """
-    if omega_c <= 0.0:
-        raise DomainError(f"eit_phase_shift needs omega_c > 0, got {omega_c}")
-    w2 = omega_c * omega_c
-    phi = delta * m.alpha / w2 if w2 > 0.0 else math.inf
-    if not math.isfinite(phi):
-        raise DomainError(f"eit_phase_shift is not finite: phi = {phi} for "
-                          f"omega_c={omega_c}, alpha={m.alpha}")
-    return phi

@@ -47,7 +47,7 @@ from .errors import BoundarySolveError, DomainError, located
 from .params import (PASSIVITY_SLACK, DetuningSet, DriveParams, MediumParams,
                      SteadyResult, replace_params)
 from .steady_analytic import (_CMATH, _REJUDGED, _TOLERATED, _UFUNCS,
-                              _amplitudes, _rejudge, _require_regime)
+                              _amplitudes, _rejudge, regime_error)
 
 #: log of the smallest |T[1,1]| the boundary solve accepts
 LOG_T11_MIN = math.log(1e-14)
@@ -202,8 +202,10 @@ def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
             m, d, det = replace_params(bundle, **{
                 name: float(v[i]) for name, v in zip(axes, grid)})
             if closed_form:
-                _require_regime(m, d.omega_c, d.omega_d, det.delta_p,
-                                det.Delta)
+                err = regime_error(m, d.omega_c, d.omega_d, det.delta_p,
+                                   det.Delta)
+                if err is not None:
+                    raise err
 
 
 @_TOLERATED
@@ -216,10 +218,13 @@ def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
     omega_d, delta, delta_p or Delta; any other is a TypeError) replaces
     that value of (m, d, det) with an array, and the arrays broadcast to a
     grid of any shape.  Every axis keeps the invariants of the parameter
-    it replaces (and the closed form's regime, with closed_form), every
-    point transfer_solve's checks; the first point that fails raises its
-    error prefixed ``at name=value, ...:`` over the arrays of ``at``: the
-    axes by default, or e.g. a grid in user units.
+    it replaces (and the closed form's regime, with closed_form), checked
+    only at each axis's extremes (see _check_axes): such an error names
+    the first failing extreme in grid order, which need not be the first
+    failing point.  Every point must then pass transfer_solve's checks,
+    and the first that fails raises.  Either error is prefixed
+    ``at name=value, ...:`` over the arrays of ``at``: the axes by
+    default, or e.g. a grid in user units.
     """
     at = axes if at is None else at
     _check_axes((m, d, det), at, axes, closed_form)

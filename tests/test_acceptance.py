@@ -48,8 +48,8 @@ def test_checks_read_the_presets(monkeypatch):
                          "-70)")
     assert not r2.passed
     r5 = validation.check_phase_shifts()
-    assert r5.detail == ("phi(-27 kHz)=-0.1293 pi (want -0.129+-0.005), "
-                         "phi(-100 kHz)=-0.4789 pi (want -0.704+-0.005)")
+    assert r5.detail == ("phi(-27 kHz)=-0.1292 pi (want -0.129+-0.005), "
+                         "phi(-100 kHz)=-0.4782 pi (want -0.704+-0.005)")
     assert not r5.passed
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dlambda_fwm import (DetuningSet, DomainError, DriveParams, MediumParams,
-                         RegimeError, eit_phase_shift, optimal_delta,
+                         RegimeError, optimal_delta, solve_grid,
                          steady_closed_form, transfer_solve)
 from dlambda_fwm.steady_analytic import _aux
 from dlambda_fwm.validation import (EQUIVALENCE_POINTS, EQUIVALENCE_SEED,
@@ -187,9 +187,6 @@ def test_non_finite_estimates_are_domain_errors():
     with pytest.raises(DomainError, match="optimal_delta is not finite"):
         optimal_delta(MediumParams(alpha=1e-300, delta_kL=0.134 * math.pi),
                       1e10)
-    for m, omega_c in [(MediumParams(alpha=1e300), 1e-10), (DENSE, 1e-200)]:
-        with pytest.raises(DomainError, match="eit_phase_shift is not finite"):
-            eit_phase_shift(m, omega_c, 1.0)
     with pytest.raises(DomainError, match="nonzero omega\\^2"):
         steady_closed_form(MediumParams(alpha=130.0), 1e-200, 0.0)
 
@@ -208,17 +205,16 @@ def test_optimal_delta_phase_matched_is_positive_zero():
     assert math.copysign(1.0, r.delta_khz) == 1.0
 
 
-def test_eit_phase_shift_values():
-    phi = eit_phase_shift(DENSE, 1.2, -0.0045)
-    assert phi == pytest.approx(-0.40625, rel=1e-12)
-    assert phi / math.pi == pytest.approx(-0.1293134, abs=1e-6)
-    phi2 = eit_phase_shift(DENSE, 1.2, -0.0245)
-    assert phi2 / math.pi == pytest.approx(-0.7040396, abs=1e-6)
-
-
-def test_eit_phase_shift_linear_and_guarded():
-    assert eit_phase_shift(DENSE, 1.2, 0.0) == 0.0
-    assert eit_phase_shift(DENSE, 1.2, 0.002) == \
-        pytest.approx(2 * eit_phase_shift(DENSE, 1.2, 0.001), rel=1e-14)
-    with pytest.raises(DomainError):
-        eit_phase_shift(DENSE, 0.0, 0.01)
+@pytest.mark.parametrize("alpha, omega_c",
+                         [(130.0, 1.2), (45.0, 0.6), (400.0, 3.0)])
+def test_small_detuning_probe_phase_is_the_eit_dispersion(alpha, omega_c):
+    # at gamma21 = 0 with the signal drive off, the exact probe phase
+    # arg H_p(delta)/H_p(0) tends to the first-order EIT dispersion
+    # delta*alpha/omega_c^2 (RMP 77, 633 (2005)) as delta -> 0
+    delta = 1e-4
+    h, _ = solve_grid(MediumParams(alpha=alpha, gamma21=0.0),
+                      DriveParams(omega_c=omega_c, omega_d=0.0),
+                      DetuningSet(), delta=np.array([0.0, delta]))
+    phi = np.angle(h[1] * h[0].conjugate())
+    assert phi / (delta * alpha / omega_c ** 2) == pytest.approx(1.0,
+                                                                 abs=1e-6)
