@@ -59,9 +59,9 @@ def _add_common(sub, solver=True):
 
 @functools.cache
 def _build_parser() -> tuple:
-    """(parser, commands): the one parser of this process and each
-    subcommand's own parser by name, built on first use.  They are never
-    mutated afterwards: each parse returns a fresh Namespace."""
+    """(parser, commands): the parser of this process and each subcommand's
+    own parser by name, with its handler as the default ``run``.  Built on
+    first use and never mutated: each parse returns a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="dlambda-fwm",
         description="Backward four-wave-mixing frequency conversion in an "
@@ -69,21 +69,23 @@ def _build_parser() -> tuple:
                     "sweeps and presets.")
     p.add_argument("--version", action="version",
                    version=f"dlambda-fwm {__version__}")
-    subs = p.add_subparsers(dest="cmd")
+    subs = p.add_subparsers(dest="cmd")  # named by invalid-choice errors
     commands = {}
 
-    def command(name, **kw):
-        commands[name] = subs.add_parser(name, **kw)
-        return commands[name]
+    def command(name, run, **kw):
+        sub = commands[name] = subs.add_parser(name, **kw)
+        sub.set_defaults(run=run)
+        return sub
 
-    s = command("steady", help="steady-state T/CE/loss at one point")
+    s = command("steady", _cmd_steady,
+                help="steady-state T/CE/loss at one point")
     _add_common(s)
 
-    s = command("optimize-delta",
+    s = command("optimize-delta", _cmd_optimize_delta,
                 help="quasi-phase-matching two-photon detuning")
     _add_common(s, solver=False)
 
-    s = command("sweep", help="sweep a variable, emit a dataset")
+    s = command("sweep", _cmd_sweep, help="sweep a variable, emit a dataset")
     _add_common(s)
     s.add_argument("--variable", choices=SWEEP_VARIABLES,
                    help="sweep axis (defaults to the preset's)")
@@ -92,7 +94,7 @@ def _build_parser() -> tuple:
                         + ", ".join(f"{v}: {unit}" for v, unit
                                     in SWEEP_VARIABLES.items()) + ")")
 
-    s = command("pulse", help="time-domain pulse propagation")
+    s = command("pulse", _cmd_pulse, help="time-domain pulse propagation")
     _add_common(s, solver=False)
     # each flag sets the PulseSpec field its dest names
     s.add_argument("--shape", choices=("gaussian", "flat_top"))
@@ -103,13 +105,14 @@ def _build_parser() -> tuple:
     s.add_argument("--t-max-us", dest="t_max", type=microseconds)
     s.add_argument("--n-t", type=int)
 
-    s = command("bandwidth", help="conversion FWHM in MHz")
+    s = command("bandwidth", _cmd_bandwidth, help="conversion FWHM in MHz")
     _add_common(s, solver=False)
 
-    s = command("preset", help="print a preset as config key=values")
+    s = command("preset", _cmd_preset,
+                help="print a preset as config key=values")
     s.add_argument("name", choices=PRESET_NAMES)
 
-    command("validate", help="run the acceptance battery")
+    command("validate", _cmd_validate, help="run the acceptance battery")
 
     return p, commands
 
@@ -122,8 +125,13 @@ def _load_bundle(args):
         raise _Usage(f"--set: {exc}") from None
     preset = figure_preset(args.preset) if args.preset else None
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.config, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text ({exc.reason}"
+                              f" at byte {exc.start})") from None
     elif preset is not None:
         text = preset.config
     else:
@@ -265,17 +273,6 @@ def _cmd_validate(_args) -> int:
     return 0 if failed == 0 else 3
 
 
-_DISPATCH = {
-    "steady": _cmd_steady,
-    "optimize-delta": _cmd_optimize_delta,
-    "sweep": _cmd_sweep,
-    "pulse": _cmd_pulse,
-    "bandwidth": _cmd_bandwidth,
-    "preset": _cmd_preset,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -286,23 +283,19 @@ def main(argv=None) -> int:
             args, extras = commands[argv[0]].parse_known_args(argv[1:])
             if extras:
                 parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            args.cmd = argv[0]
         else:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.cmd is None:
+    if not hasattr(args, "run"):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.run(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FwmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FwmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

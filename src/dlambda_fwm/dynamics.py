@@ -47,7 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, GridError
-from .params import DetuningSet, DriveParams, MediumParams
+from .params import (DetuningSet, DriveParams, MediumParams, _echo,
+                     _require_real)
 from .steady_numeric import solve_probe_shift
 
 #: time steps per shortest input feature (a gaussian's duration, a flat
@@ -62,15 +63,6 @@ DEFAULT_N_T = 12000
 MAX_N_T = 10 ** 6
 #: frequencies per kernel call; bounds the kernel's temporaries on long grids
 KERNEL_CHUNK = 2 ** 15
-
-
-def _echo(value, show) -> str:
-    """show(value) for an error message, or a note in its place where value
-    is or holds an int with more digits than str() may convert."""
-    try:
-        return show(value)
-    except ValueError:
-        return "a value too long to print"
 
 
 @dataclass(frozen=True)
@@ -105,10 +97,9 @@ class PulseSpec:
             raise DomainError(f"unknown pulse shape {self.shape!r}")
         for name in ("duration", "t_start", "ramp"):
             v = getattr(self, name)
-            # float arithmetic on such an int raises OverflowError
-            if isinstance(v, int) and not abs(v) <= sys.float_info.max:
-                raise DomainError(f"{name} = {_echo(v, str)} is beyond the "
-                                  "float range")
+            if v is None and name == "ramp":    # the default, set below
+                continue
+            _require_real(name, v)
         if not self.duration > 0.0:
             raise DomainError(f"duration must be > 0, got {self.duration}")
         if self.ramp is None:

@@ -10,7 +10,9 @@ as MHz, the converters below bridge the two.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 from .errors import ConfigError, DomainError
 
@@ -22,10 +24,35 @@ GAMMA_PHYS_DEFAULT = TWO_PI * 6.0e6
 PASSIVITY_SLACK = 1e-9
 
 
+def _echo(value, show) -> str:
+    """show(value) for an error message, or a note in its place where value
+    is or holds an int with more digits than str() may convert."""
+    try:
+        return show(value)
+    except ValueError:
+        return "a value too long to print"
+
+
+def _require_real(name: str, v) -> None:
+    """DomainError, its message starting with ``name``, unless v is a real
+    number that float arithmetic takes."""
+    # float first: isinstance against the numbers.Real ABC costs ~0.5 us
+    if type(v) is float:
+        return
+    if not isinstance(v, Real):
+        raise DomainError(f"{name} must be a real number, got "
+                          f"{_echo(v, repr)}")
+    # float arithmetic on such an int raises OverflowError
+    if isinstance(v, int) and not abs(v) <= sys.float_info.max:
+        raise DomainError(f"{name} = {_echo(v, str)} is beyond the float "
+                          "range")
+
+
 def _require_finite(obj, names) -> None:
     for name in names:
         v = getattr(obj, name)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        _require_real(name, v)
+        if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v}")
 
 
@@ -146,7 +173,10 @@ class SteadyResult:
             self._refuse(t, c)
 
     def _refuse(self, t: float, c: float):
-        _require_finite(self, ("probe_out", "signal_out"))
+        for name in ("probe_out", "signal_out"):
+            v = getattr(self, name)
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                raise DomainError(f"{name} must be finite, got {v}")
         if math.isnan(t):   # finite amplitudes, but a square overflowed
             raise DomainError(
                 f"passivity violated: T + CE overflows (probe_out="
@@ -208,10 +238,10 @@ def _entry(key: str, val) -> tuple:
             f"unknown key '{key}' (known: {', '.join(CONFIG_KEYS)})")
     try:
         return key, float(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         shown = val.strip() if isinstance(val, str) else val
-        raise ConfigError(
-            f"malformed number for key '{key}': {shown!r}") from None
+        raise ConfigError(f"malformed number for key '{key}': "
+                          f"{_echo(shown, repr)}") from None
 
 
 def parse_pair(item: str) -> tuple:
@@ -238,10 +268,10 @@ def parse_config(text: str, overrides: dict | None = None) -> tuple:
     ------
     ConfigError
         On an unknown key, a malformed line or number (naming the 1-based
-        line; an override that float() refuses, such as "abc", None or
-        1+2j, is a malformed number with no line), a missing required
-        key, or a value that breaks an invariant (naming the key and,
-        unless an override set it, the line of the value that took
+        line; an override that float() refuses, such as "abc", None,
+        1+2j or 10**400, is a malformed number with no line), a missing
+        required key, or a value that breaks an invariant (naming the key
+        and, unless an override set it, the line of the value that took
         effect).
     """
     values, lines = {}, {}

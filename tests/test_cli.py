@@ -240,6 +240,17 @@ def test_config_parse_error_exit_2(tmp_path, capsys):
                               + ")\n")
 
 
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    # a decode failure is a config error naming the file and the byte
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"alpha = 1\xff\nomega_c = 1\n")
+    code, out, err = run(capsys, ["steady", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {cfg} is not UTF-8 text (invalid start byte "
+                   "at byte 9)\n")
+    assert "Traceback" not in err
+
+
 def test_config_invariant_error_names_line(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("omega_c = 1.2\n# the optical depth\nalpha = nan\n")
@@ -669,7 +680,7 @@ def _top_level_parse(capsys, argv):
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 1
     else:
-        if args.cmd is not None:
+        if hasattr(args, "run"):
             return None
         parser.print_usage(sys.stderr)
         code = 1
@@ -678,7 +689,7 @@ def _top_level_parse(capsys, argv):
 
 
 _PARSE_ANSWERS = [[], ["--version"], ["nosuch"]] + [
-    [cmd, *tail] for cmd in cli._DISPATCH
+    [cmd, *tail] for cmd in cli._build_parser()[1]
     for tail in (["-h"], ["--format", "xml"], ["--preset"],
                  ["--preset", "fig4b", "--bogus"])]
 

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from dlambda_fwm import (ConfigError, DetuningSet, DomainError, DriveParams,
-                         MediumParams, SteadyResult, gamma_to_khz,
+                         MediumParams, PulseSpec, SteadyResult, gamma_to_khz,
                          khz_to_gamma, parse_config)
 from dlambda_fwm.params import CONFIG_KEYS, parse_pair, replace_params
 
@@ -95,7 +95,7 @@ def test_parse_config_overrides_win_and_carry_no_line():
     # an override passes a config line's key-and-number rule: what float()
     # refuses is a ConfigError, not a ValueError or TypeError
     for value, shown in (("abc", "'abc'"), (None, "None"),
-                         (1 + 2j, "(1+2j)")):
+                         (1 + 2j, "(1+2j)"), (10**400, str(10**400))):
         with pytest.raises(ConfigError) as exc:
             parse_config(doc, {"alpha": value})
         assert str(exc.value) == f"malformed number for key 'alpha': {shown}"
@@ -215,6 +215,45 @@ def test_drive_invariants():
 def test_detuning_invariants():
     with pytest.raises(DomainError):
         DetuningSet(delta=math.nan)
+
+
+#: each field of the parameter dataclasses, with a valid instance's
+#: other arguments
+_PARAM_FIELDS = [(cls, name, valid) for cls, valid in (
+    (MediumParams, dict(alpha=1.0)), (DriveParams, dict(omega_c=1.0)),
+    (DetuningSet, {})) for name in cls.__dataclass_fields__]
+#: and each real field of a pulse
+_REAL_FIELDS = _PARAM_FIELDS + [
+    (PulseSpec, name, dict(shape="gaussian", duration=1e-6))
+    for name in ("duration", "t_start", "ramp")]
+# ramp=None is PulseSpec's default (duration/10), not a refusal
+_NOT_REAL = [(cls, name, valid, value) for cls, name, valid in _REAL_FIELDS
+             for value in (1j, "0.1", None)
+             if (name, value) != ("ramp", None)]
+
+
+@pytest.mark.parametrize("cls, name, valid, value", _NOT_REAL,
+                         ids=[f"{c.__name__}.{n}={v!r}"
+                              for c, n, _, v in _NOT_REAL])
+def test_field_that_is_not_a_real_number_is_a_domain_error(cls, name, valid,
+                                                           value):
+    # refused by name, first word first (parse_config maps a message back
+    # to its key by that word), not accepted or left to a TypeError
+    with pytest.raises(DomainError) as exc:
+        cls(**{**valid, name: value})
+    assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("cls, name, valid", _PARAM_FIELDS,
+                         ids=[f"{c.__name__}.{n}"
+                              for c, n, _ in _PARAM_FIELDS])
+def test_int_beyond_the_float_range_is_a_domain_error(cls, name, valid,
+                                                      sign):
+    # as PulseSpec's times: float arithmetic on it raises OverflowError
+    with pytest.raises(DomainError, match=rf"^{name} = -?10{{400}} is "
+                                          "beyond the float range$"):
+        cls(**{**valid, name: sign * 10**400})
 
 
 def test_steady_result_fields():

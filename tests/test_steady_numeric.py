@@ -331,7 +331,11 @@ def test_solve_grid_names_failing_point():
      r"^at gamma31=-1: gamma31 must be > 0, got -1\.0$"),
     ({"alpha": np.array([-50.0])},
      r"^at alpha=-50: alpha must be >= 0, got -50\.0$"),
-], ids=["omega_c", "gamma31", "alpha"])
+    # refused whole, not cast to its real part with a ComplexWarning
+    ({"delta": np.array([0.002, 0.001j])},
+     r"^at delta=0\.002\+0j: delta must be a real number, got "
+     r"\(0\.002\+0j\)$"),
+], ids=["omega_c", "gamma31", "alpha", "complex delta"])
 def test_solve_grid_axes_keep_parameter_invariants(axis, message):
     # an axis value the dataclasses would refuse is refused, not solved
     with pytest.raises(DomainError, match=message):
