@@ -130,8 +130,9 @@ def _load_bundle(args):
         try:
             text = data.decode()
         except UnicodeDecodeError as exc:
+            # numbered from 1, as config lines are
             raise ConfigError(f"{args.config} is not UTF-8 text ({exc.reason}"
-                              f" at byte {exc.start})") from None
+                              f" at byte {exc.start + 1})") from None
     elif preset is not None:
         text = preset.config
     else:

@@ -10,7 +10,6 @@ as MHz, the converters below bridge the two.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from numbers import Real
 
@@ -36,16 +35,14 @@ def _echo(value, show) -> str:
 def _require_real(name: str, v) -> None:
     """DomainError, its message starting with ``name``, unless v is a real
     number that float arithmetic takes."""
-    # float first: isinstance against the numbers.Real ABC costs ~0.5 us
-    if type(v) is float:
-        return
     if not isinstance(v, Real):
         raise DomainError(f"{name} must be a real number, got "
                           f"{_echo(v, repr)}")
-    # float arithmetic on such an int raises OverflowError
-    if isinstance(v, int) and not abs(v) <= sys.float_info.max:
+    try:
+        float(v)
+    except OverflowError:       # an int or Fraction beyond the float range
         raise DomainError(f"{name} = {_echo(v, str)} is beyond the float "
-                          "range")
+                          "range") from None
 
 
 def _require_finite(obj, names) -> None:

@@ -199,10 +199,11 @@ def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
     for i in sorted(ends):
         i = np.unravel_index(i, shape)
         with located({name: v[i] for name, v in zip(at, grid[len(axes):])}):
-            # item(), not float(): a complex value must reach the
-            # invariants, not lose its imaginary part
+            # float() would drop a complex value's imaginary part; the
+            # invariants refuse the complex value itself
             m, d, det = replace_params(bundle, **{
-                name: v[i].item() for name, v in zip(axes, grid)})
+                name: complex(v[i]) if np.iscomplexobj(v) else float(v[i])
+                for name, v in zip(axes, grid)})
             if closed_form:
                 err = regime_error(m, d.omega_c, d.omega_d, det.delta_p,
                                    det.Delta)

@@ -241,13 +241,14 @@ def test_config_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
-    # a decode failure is a config error naming the file and the byte
+    # a decode failure is a config error naming the file and the byte,
+    # numbered from 1: \xff is the 10th byte
     cfg = tmp_path / "latin.cfg"
     cfg.write_bytes(b"alpha = 1\xff\nomega_c = 1\n")
     code, out, err = run(capsys, ["steady", "--config", str(cfg)])
     assert (code, out) == (2, "")
     assert err == (f"error: {cfg} is not UTF-8 text (invalid start byte "
-                   "at byte 9)\n")
+                   "at byte 10)\n")
     assert "Traceback" not in err
 
 

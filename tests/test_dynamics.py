@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,10 +77,11 @@ def test_pulse_spec_refuses_ints_beyond_the_float_range(field, sign):
     with pytest.raises(DomainError, match=rf"^{field} = a value too long to "
                                           "print is beyond the float range$"):
         PulseSpec("flat_top", **spec)
-    spec[field] = sign * 10**400
-    with pytest.raises(DomainError, match=rf"^{field} = -?10{{400}} is "
-                                          "beyond the float range$"):
-        PulseSpec("flat_top", **spec)
+    for big in (sign * 10**400, Fraction(sign * 10**400)):
+        spec[field] = big
+        with pytest.raises(DomainError, match=rf"^{field} = -?10{{400}} is "
+                                              "beyond the float range$"):
+            PulseSpec("flat_top", **spec)
 
 
 def test_pulse_spec_step_resolves_the_shortest_feature():

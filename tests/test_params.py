@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -250,10 +251,12 @@ def test_field_that_is_not_a_real_number_is_a_domain_error(cls, name, valid,
                               for c, n, _ in _PARAM_FIELDS])
 def test_int_beyond_the_float_range_is_a_domain_error(cls, name, valid,
                                                       sign):
-    # as PulseSpec's times: float arithmetic on it raises OverflowError
-    with pytest.raises(DomainError, match=rf"^{name} = -?10{{400}} is "
-                                          "beyond the float range$"):
-        cls(**{**valid, name: sign * 10**400})
+    # as PulseSpec's times: float arithmetic on it raises OverflowError,
+    # and so it does on a Fraction that large
+    for big in (sign * 10**400, Fraction(sign * 10**400)):
+        with pytest.raises(DomainError, match=rf"^{name} = -?10{{400}} is "
+                                              "beyond the float range$"):
+            cls(**{**valid, name: big})
 
 
 def test_steady_result_fields():
