@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -99,7 +100,7 @@ class PulseSpec:
             v = getattr(self, name)
             if v is None and name == "ramp":    # the default, set below
                 continue
-            _require_real(name, v)
+            object.__setattr__(self, name, _require_real(name, v))
         if not self.duration > 0.0:
             raise DomainError(f"duration must be > 0, got {self.duration}")
         if self.ramp is None:
@@ -112,10 +113,9 @@ class PulseSpec:
             t_min, t_max, n_t = self.grid
             # False for a NaN or a fractional n_t
             n_t_ok = 100 <= n_t <= MAX_N_T and n_t % 1 == 0
-            # group_delay integrates t * intensity over t, so the bounds'
-            # squares must be finite too (False for a NaN); a bound
-            # squares as the float it computes as
-            finite = all(float(b) * b < math.inf for b in (t_min, t_max))
+            if not (isinstance(t_min, Real) and isinstance(t_max, Real)):
+                raise TypeError     # float() would take a str
+            t_min, t_max = float(t_min), float(t_max)
         except OverflowError:
             # not echoed: an int that long may not even convert to str
             raise GridError("time grid bounds must be finite, got an int "
@@ -123,7 +123,9 @@ class PulseSpec:
         except (TypeError, ValueError):
             raise GridError("grid must be three numbers (t_min, t_max, n_t), "
                             f"got {_echo(self.grid, repr)}") from None
-        if not finite:
+        # group_delay integrates t * intensity over t, so the bounds'
+        # squares must be finite too (False for a NaN)
+        if not (t_min * t_min < math.inf and t_max * t_max < math.inf):
             raise GridError(f"time grid bounds must be finite, and so must "
                             f"their squares, got ({t_min}, {t_max})")
         if not (t_max > t_min):
@@ -131,6 +133,7 @@ class PulseSpec:
         if not n_t_ok:
             raise GridError(f"n_t must be an integer in [100, {MAX_N_T}], "
                             f"got {_echo(n_t, str)}")
+        object.__setattr__(self, "grid", (t_min, t_max, n_t))
         name, feature = ("duration", self.duration) \
             if self.shape == "gaussian" else ("ramp", self.ramp)
         dt = (t_max - t_min) / n_t

@@ -45,5 +45,7 @@ def located(at: dict):
     except FwmError as exc:
         if not at:
             raise
-        where = ", ".join(f"{name}={value:g}" for name, value in at.items())
+        where = ", ".join(f"{name}={value:g}" if isinstance(
+            value, (float, complex)) else f"{name}={value}"
+            for name, value in at.items())
         raise type(exc)(f"at {where}: {exc}") from exc

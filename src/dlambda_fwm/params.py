@@ -32,25 +32,27 @@ def _echo(value, show) -> str:
         return "a value too long to print"
 
 
-def _require_real(name: str, v) -> None:
-    """DomainError, its message starting with ``name``, unless v is a real
-    number that float arithmetic takes."""
-    if not isinstance(v, Real):
+def _require_real(name: str, v) -> float:
+    """float(v), the one type the kernels compute on; DomainError, its
+    message starting with ``name``, unless v is a real number in range."""
+    # float first: the ABC's own check costs a float 0.6 us
+    if not isinstance(v, (float, Real)):
         raise DomainError(f"{name} must be a real number, got "
                           f"{_echo(v, repr)}")
     try:
-        float(v)
+        return float(v)
     except OverflowError:       # an int or Fraction beyond the float range
         raise DomainError(f"{name} = {_echo(v, str)} is beyond the float "
                           "range") from None
 
 
 def _require_finite(obj, names) -> None:
+    """Store each field of ``names`` on obj as a float; it must be finite."""
     for name in names:
-        v = getattr(obj, name)
-        _require_real(name, v)
+        v = _require_real(name, getattr(obj, name))
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v}")
+        object.__setattr__(obj, name, v)
 
 
 @dataclass(frozen=True)

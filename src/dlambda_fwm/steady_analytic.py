@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, FwmError, RegimeError
-from .params import MediumParams, SteadyResult, gamma_to_khz
+from .params import MediumParams, SteadyResult, _require_real, gamma_to_khz
 
 #: the floating-point conditions the array kernels tolerate, as the one
 #: decorator that sets them on each array entry point: an overflow, 0/0
@@ -110,10 +110,10 @@ _CMATH = SimpleNamespace(sqrt=cmath.sqrt, exp=cmath.exp, expm1=_expm1,
                          tanh=cmath.tanh, log=math.log, gains=_python_gains)
 
 #: what a scalar kernel may raise where the ufuncs compute on (a math
-#: range error, x/0, an input float() refuses), or a check may raise on
-#: its result: the scalar entry points then evaluate the point as given
-#: on the ufuncs, whose error or result is the answer
-_REJUDGED = (ArithmeticError, TypeError, ValueError, FwmError)
+#: range or domain error, x/0), or a check may raise on its result: the
+#: scalar entry points then evaluate the point on the ufuncs, whose
+#: error or result is the answer
+_REJUDGED = (ArithmeticError, ValueError, FwmError)
 
 
 @_TOLERATED
@@ -195,25 +195,26 @@ def steady_closed_form(m: MediumParams, omega: float,
                        delta: float) -> SteadyResult:
     """Closed-form boundary amplitudes and efficiencies.
 
-    Raises the error of regime_error outside the balanced lossless regime.
+    Raises the error of regime_error outside the balanced lossless
+    regime, and DomainError unless omega and delta are real numbers.
     """
+    omega = _require_real("omega", omega)
+    delta = _require_real("delta", delta)
     err = regime_error(m, omega, omega)
     if err is not None:
         raise err
+    p = (m.alpha, m.delta_kL, omega, delta)
     try:
-        return SteadyResult(*_amplitudes(
-            float(m.alpha), float(m.delta_kL), float(omega), float(delta),
-            _CMATH))
+        return SteadyResult(*_amplitudes(*p, _CMATH))
     except _REJUDGED:
-        # the array kernel judges the point as given: its error, or its
-        # result
-        probe, signal = _rejudge(_amplitudes, m.alpha, m.delta_kL, omega,
-                                 delta)
+        # the array kernel judges the point: its error, or its result
+        probe, signal = _rejudge(_amplitudes, *p)
         return SteadyResult(complex(probe), complex(signal))
 
 
 def optimal_delta(m: MediumParams, omega: float) -> OptimalDelta:
     """Two-photon detuning that cancels the phase mismatch (xi = 0)."""
+    omega = _require_real("omega", omega)
     if m.alpha <= 0.0:
         raise DomainError(f"optimal_delta needs alpha > 0, got {m.alpha}")
     if omega <= 0.0:

@@ -62,16 +62,10 @@ _GAMMA31 = _POINT_NAMES.index("gamma31")
 _GAMMA41 = _POINT_NAMES.index("gamma41")
 
 
-def _point(m: MediumParams, d: DriveParams, det: DetuningSet,
-           number=lambda x: x) -> tuple:
-    """Kernel parameters of one point, each through ``number``: as given,
-    or float for the scalar kernel, where a numpy.float64 field then
-    computes as the equal float.  Array values make a grid.  A tuple in
-    the order of _POINT_NAMES."""
-    return (number(m.alpha), number(m.gamma21), number(m.gamma31),
-            number(m.gamma41), number(m.delta_kL), number(d.omega_c),
-            number(d.omega_d), number(det.delta), number(det.delta_p),
-            number(det.Delta))
+def _point(m: MediumParams, d: DriveParams, det: DetuningSet) -> tuple:
+    """One point's kernel parameters, floats, in _POINT_NAMES order."""
+    return (m.alpha, m.gamma21, m.gamma31, m.gamma41, m.delta_kL,
+            d.omega_c, d.omega_d, det.delta, det.delta_p, det.Delta)
 
 
 def _coefficients(alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
@@ -189,7 +183,9 @@ def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
     these points in grid order that fails raises, located as in _checked."""
     grid = np.broadcast_arrays(*axes.values(), *at.values())
     shape = grid[0].shape if grid else ()
-    ends = {int(f(v)) for v in grid[:len(axes)] or [np.zeros(shape)]
+    # a complex, str or object axis fails at every point: at its first
+    ends = {int(f(v)) if v.dtype.kind in "biuf" else 0
+            for v in grid[:len(axes)] or [np.zeros(shape)]
             if v.size for f in (np.argmin, np.argmax)}
     if closed_form:
         on = dict(zip(_POINT_NAMES, _point(*bundle)))
@@ -199,10 +195,9 @@ def _check_axes(bundle: tuple, at: dict, axes: dict, closed_form: bool):
     for i in sorted(ends):
         i = np.unravel_index(i, shape)
         with located({name: v[i] for name, v in zip(at, grid[len(axes):])}):
-            # float() would drop a complex value's imaginary part; the
-            # invariants refuse the complex value itself
+            # an object array's point as a 0-d array, which is not real
             m, d, det = replace_params(bundle, **{
-                name: complex(v[i]) if np.iscomplexobj(v) else float(v[i])
+                name: v[(*i, ...)] if v.dtype == object else v.item(i)
                 for name, v in zip(axes, grid)})
             if closed_form:
                 err = regime_error(m, d.omega_c, d.omega_d, det.delta_p,
@@ -219,15 +214,16 @@ def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
 
     Each keyword (alpha, gamma21, gamma31, gamma41, delta_kL, omega_c,
     omega_d, delta, delta_p or Delta; any other is a TypeError) replaces
-    that value of (m, d, det) with an array, and the arrays broadcast to a
-    grid of any shape.  Every axis keeps the invariants of the parameter
-    it replaces (and the closed form's regime, with closed_form), checked
-    only at each axis's extremes (see _check_axes): such an error names
-    the first failing extreme in grid order, which need not be the first
-    failing point.  Every point must then pass transfer_solve's checks,
-    and the first that fails raises.  Either error is prefixed
-    ``at name=value, ...:`` over the arrays of ``at``: the axes by
-    default, or e.g. a grid in user units.
+    that value of (m, d, det) with an array of bools, integers or floats,
+    computed on as float64, and the arrays broadcast to a grid of any
+    shape.  Every axis keeps the invariants of the parameter it replaces
+    (a complex, str or object one is not real), and the closed form's
+    regime with closed_form, checked only at each axis's extremes (see
+    _check_axes): such an error names the first failing extreme in grid
+    order, which need not be the first failing point.  Every point must
+    then pass transfer_solve's checks, and the first that fails raises.
+    Either error is prefixed ``at name=value, ...:`` over the arrays of
+    ``at``: the axes by default, or e.g. a grid in user units.
     """
     at = axes if at is None else at
     _check_axes((m, d, det), at, axes, closed_form)
@@ -235,7 +231,7 @@ def solve_grid(m: MediumParams, d: DriveParams, det: DetuningSet,
     for name, values in axes.items():
         if name not in _POINT_NAMES:    # gamma_phys: not a kernel parameter
             raise TypeError(f"no kernel parameter named {name!r}")
-        p[_POINT_NAMES.index(name)] = values
+        p[_POINT_NAMES.index(name)] = np.asarray(values, dtype=float)
     if closed_form:
         # in regime omega_d = omega_c and the other parameters are fixed
         on = dict(zip(_POINT_NAMES, p))
@@ -310,9 +306,9 @@ def transfer_solve(d: DriveParams, det: DetuningSet,
     form.  Raises BoundarySolveError when |T[1,1]| < 1e-14
     (perfect-reflection resonance).
     """
+    p = _point(m, d, det)
     try:
-        return _result(*_transfer(_point(m, d, det, float), _CMATH))
+        return _result(*_transfer(p, _CMATH))
     except _REJUDGED:
-        # the array kernel judges the point as given: its error, or its
-        # result
-        return _result(*_rejudge(_transfer, _point(m, d, det)))
+        # the array kernel judges the point: its error, or its result
+        return _result(*_rejudge(_transfer, p))

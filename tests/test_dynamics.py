@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +82,28 @@ def test_pulse_spec_refuses_ints_beyond_the_float_range(field, sign):
         with pytest.raises(DomainError, match=rf"^{field} = -?10{{400}} is "
                                               "beyond the float range$"):
             PulseSpec("flat_top", **spec)
+
+
+@pytest.mark.parametrize("real", [Fraction, np.float32])
+@pytest.mark.parametrize("shape", ["gaussian", "flat_top"])
+def test_pulse_times_of_any_real_type_give_their_floats_trace(real, shape):
+    # PulseSpec stores its times as floats: a Fraction raised a TypeError
+    # in the ufuncs, and float32 grid bounds sampled in float32
+    m, d, det, p = _conversion_case()
+    t_min, t_max, n_t = p.grid
+    times = dict(duration=p.duration, t_start=p.t_start, ramp=1e-7,
+                 t_min=t_min, t_max=t_max)
+
+    def trace(cast):
+        v = {k: cast(real(x)) for k, x in times.items()}
+        return simulate_pulse(m, d, det, PulseSpec(
+            shape, v["duration"], v["t_start"], v["ramp"],
+            (v["t_min"], v["t_max"], n_t)))
+
+    given, floats = trace(lambda x: x), trace(float)
+    for f in fields(PulseTrace):
+        assert (getattr(given, f.name).tobytes()
+                == getattr(floats, f.name).tobytes())
 
 
 def test_pulse_spec_step_resolves_the_shortest_feature():

@@ -4,6 +4,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dlambda_fwm import (ConfigError, DetuningSet, DomainError, DriveParams,
@@ -257,6 +258,24 @@ def test_int_beyond_the_float_range_is_a_domain_error(cls, name, valid,
         with pytest.raises(DomainError, match=rf"^{name} = -?10{{400}} is "
                                               "beyond the float range$"):
             cls(**{**valid, name: big})
+
+
+@pytest.mark.parametrize("cls, name, valid", _REAL_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in _REAL_FIELDS])
+def test_real_field_is_stored_as_a_float(cls, name, valid):
+    # the kernels compute on the one type stored, whatever Real was given
+    for value in (1, Fraction(1, 2), True, np.float32(0.1), np.float64(0.1)):
+        stored = getattr(cls(**{**valid, name: value}), name)
+        assert type(stored) is float and stored == float(value)
+
+
+def test_pulse_grid_bounds_are_stored_as_floats():
+    for bounds in ((0, 1), (Fraction(0), Fraction(1, 3)), (False, True),
+                   (np.float32(0.0), np.float32(0.1)),
+                   (np.float64(0.0), np.float64(0.1))):
+        grid = PulseSpec("gaussian", 1.0, grid=(*bounds, 1000)).grid
+        assert [type(t) for t in grid] == [float, float, int]
+        assert grid == (*map(float, bounds), 1000)
 
 
 def test_steady_result_fields():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,9 +194,27 @@ def test_non_finite_estimates_are_domain_errors():
 
 def test_closed_form_huge_drive_is_a_domain_error():
     # omega^2 overflows to inf and the amplitudes to NaN: refused, not
-    # returned (a leaked RuntimeWarning would fail the suite)
-    with pytest.raises(DomainError, match="probe_out must be finite"):
-        steady_closed_form(MediumParams(alpha=1.0), 1e200, 0.0)
+    # returned (a leaked RuntimeWarning would fail the suite); an int
+    # omega computes as its float
+    for omega in (1e200, 10**200):
+        with pytest.raises(DomainError, match="probe_out must be finite"):
+            steady_closed_form(MediumParams(alpha=1.0), omega, 0.0)
+
+
+@pytest.mark.parametrize("omega, delta", [
+    (1.2, 1e-3j), (1.2, "0"), (1.2, None), (1j, 0.0), ("1.2", 0.0),
+    (None, 0.0)])
+def test_closed_form_argument_that_is_not_real_is_a_domain_error(omega,
+                                                                 delta):
+    # refused by name, not solved (a complex delta gave a CE) or left to
+    # a TypeError
+    name, value = ("delta", delta) if omega == 1.2 else ("omega", omega)
+    message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
+        steady_closed_form(DENSE, omega, delta)
+    if name == "omega":
+        with pytest.raises(DomainError, match=message):
+            optimal_delta(DENSE, omega)
 
 
 def test_optimal_delta_phase_matched_is_positive_zero():

@@ -272,20 +272,61 @@ def test_transfer_passivity_unequal_decay_rates():
 
 
 def test_numpy_float_fields_solve_as_python_floats():
-    # scalar solves take their inputs as Python floats at entry, so a
-    # numpy.float64 field (what numpy's random draws hand out) gives the
-    # result of the equal float, bit for bit
+    # the dataclasses store Python floats, so a numpy.float64 field (what
+    # numpy's random draws hand out) gives the result of the equal float,
+    # bit for bit
     m = MediumParams(alpha=130.0, gamma21=7e-4, delta_kL=0.134 * math.pi)
     d, det = DriveParams(1.2, 1.1), DetuningSet(-0.003, 0.1, -0.2)
     m64, d64, det64 = (type(x)(**{k: np.float64(v) for k, v in
                                   vars(x).items()}) for x in (m, d, det))
-    assert type(m64.alpha) is np.float64
+    assert type(m64.alpha) is float
     assert transfer_solve(d64, det64, m64) == transfer_solve(d, det, m)
     mc = MediumParams(alpha=130.0, delta_kL=0.134 * math.pi)
     mc64 = MediumParams(alpha=np.float64(130.0),
                         delta_kL=np.float64(0.134 * math.pi))
     assert (steady_closed_form(mc64, np.float64(1.2), np.float64(-0.003))
             == steady_closed_form(mc, 1.2, -0.003))
+
+
+def test_float32_fields_solve_as_their_floats_on_both_solvers():
+    # stored as floats, float32 fields reach no kernel as float32: each
+    # solver gives the result of the equal floats bit for bit (the grid
+    # computed partly in float32 when the fields were stored as given)
+    def bundle(cast):
+        a, g, k, w, dl = (cast(np.float32(v))
+                          for v in (130.0, 7e-4, 0.42, 1.2, -0.0045))
+        return (MediumParams(alpha=a, gamma21=g, delta_kL=k),
+                DriveParams(w, w), DetuningSet(dl))
+
+    (m32, d32, det32), (m, d, det) = bundle(np.float32), bundle(float)
+    assert transfer_solve(d32, det32, m32) == transfer_solve(d, det, m)
+    assert ([a.tobytes() for a in solve_grid(m32, d32, det32)]
+            == [a.tobytes() for a in solve_grid(m, d, det)])
+
+
+def test_int_drive_whose_square_overflows_is_refused_as_its_float():
+    m, det = MediumParams(alpha=130.0), DetuningSet()
+    for solve in (lambda d: transfer_solve(d, det, m),
+                  lambda d: solve_grid(m, d, det)):
+        messages = []
+        for big in (10**160, 1e160):
+            with pytest.raises(DomainError) as exc:
+                solve(DriveParams(big, big))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name, values", [
+    ("omega_d", np.array([True, False])),
+    # 3037000500**2 overflows int64
+    ("omega_c", np.array([1, 3037000500, 2**33], dtype=np.int64)),
+    ("alpha", np.array([0, 130, 255], dtype=np.uint8)),
+], ids=["bool", "int64", "uint8"])
+def test_bool_and_integer_axes_solve_as_float64(name, values):
+    base = (MediumParams(alpha=130.0), DriveParams(1.2, 1.2), DetuningSet())
+    got = solve_grid(*base, **{name: values})
+    want = solve_grid(*base, **{name: values.astype(float)})
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # --- solve_grid --------------------------------------------------------------
@@ -335,7 +376,13 @@ def test_solve_grid_names_failing_point():
     ({"delta": np.array([0.002, 0.001j])},
      r"^at delta=0\.002\+0j: delta must be a real number, got "
      r"\(0\.002\+0j\)$"),
-], ids=["omega_c", "gamma31", "alpha", "complex delta"])
+    ({"delta": np.array(["0.002", "0.001"])},
+     r"^at delta=0\.002: delta must be a real number, got '0\.002'$"),
+    ({"delta": np.array([0.002, None], dtype=object)},
+     r"^at delta=0\.002: delta must be a real number, got "
+     r"array\(0\.002, dtype=object\)$"),
+], ids=["omega_c", "gamma31", "alpha", "complex delta", "str delta",
+        "object delta"])
 def test_solve_grid_axes_keep_parameter_invariants(axis, message):
     # an axis value the dataclasses would refuse is refused, not solved
     with pytest.raises(DomainError, match=message):
@@ -379,8 +426,6 @@ def test_kernel_point_order_has_one_source():
               for f in part.__dataclass_fields__}
     assert len(set(fields.values())) == len(fields)
     assert steady_numeric._point(*bundle) == tuple(fields[n] for n in names)
-    assert steady_numeric._point(*bundle, float) == tuple(
-        fields[n] for n in names)
 
 
 def test_passivity_check_fails_on_a_rejected_point(monkeypatch):
